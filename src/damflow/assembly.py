@@ -118,12 +118,8 @@ class Q1Assembler:
 
 def apply_dirichlet_matrix(A, dirichlet_flat):
     """Replace Dirichlet rows by identity rows (CSR, in a copy)."""
-    A = A.tolil(copy=True)
-    idx = np.flatnonzero(dirichlet_flat)
-    for n in idx:
-        A.rows[n] = [n]
-        A.data[n] = [1.0]
-    return A.tocsr()
+    d = np.asarray(dirichlet_flat, dtype=float)
+    return (sp.diags(1.0 - d) @ A + sp.diags(d)).tocsr()
 
 
 def apply_dirichlet_system(A, dirichlet_flat, values, rhs):
@@ -134,13 +130,10 @@ def apply_dirichlet_system(A, dirichlet_flat, values, rhs):
     symmetric and conjugate gradients applies.
     """
     mask = np.asarray(dirichlet_flat, dtype=bool)
-    d = mask.astype(float)
-    free = 1.0 - d
+    free = 1.0 - mask
     x = np.where(mask, values, 0.0)
     rhs = free * (rhs - A @ x) + x
-    Df = sp.diags(free)
-    A = Df @ A @ Df + sp.diags(d)
-    return A.tocsr(), rhs
+    return apply_dirichlet_matrix(A @ sp.diags(free), mask), rhs
 
 
 class LinearSolver:

@@ -92,25 +92,6 @@ class DualSolver:
         return float(self.grid.flatten(np.asarray(eta, dtype=float))
                      @ (self.M @ self.grid.flatten(v)))
 
-    def stability_ratio(self, eta, v, lambda_est):
-        """A-priori bound check: integral |grad v|^2 vs (1/lambda^2) integral eta^2.
-
-        The bound as printed folds a Poincare constant into 1/lambda^2, so
-        the ratio is reported rather than asserted; values well above 1 mean
-        an order-of-magnitude breach.
-        """
-        from .permeability import identity_field
-        if not hasattr(self, "_laplace"):
-            self._laplace = Q1Assembler(self.grid, identity_field()).stiffness()
-        v_flat = self.grid.flatten(v)
-        eta_flat = self.grid.flatten(np.asarray(eta, dtype=float))
-        grad2 = float(v_flat @ (self._laplace @ v_flat))
-        eta2 = float(eta_flat @ (self.M @ eta_flat))
-        bound = eta2 / lambda_est ** 2
-        ratio = grad2 / bound if bound > 0 else 0.0
-        return {"grad_sq": grad2, "eta_sq": eta2, "bound": bound, "ratio": ratio,
-                "ok": bool(ratio <= 1.0 + 1e-9)}
-
 
 def solve_dual(eta, field, grid, tags):
     """One-off dual solve; prefer DualSolver for time series."""

@@ -10,13 +10,11 @@ import os
 import shutil
 import sys
 
-import numpy as np
-
 from .certify import gronwall_monitor, sign_check
 from .config import ConfigError, build_problem, load_config, output_dir
 from .errors import DamflowError, IncompatibleRuns, NonConvergence
 from .evolution import EvolutionConfig, Trajectory, solve_unsteady
-from .geometry import DamGeometry, build_grid, classify_boundary
+from .geometry import classify_boundary
 from .io import read_json, snapshot_filename, write_energy_csv, write_json, write_solution_csv
 from .penalty import complementarity_bound
 from .problem_data import load_solution_csv, make_barrier_data
@@ -27,6 +25,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
+
+# per-step relative mass imbalance an unsteady run may report
+MASS_BALANCE_TOL = 1e-10
 
 
 def main(argv=None):
@@ -127,8 +128,7 @@ def _simulate(problem):
         v1eps = solve_stationary(phi1, problem.field, problem.grid, tags1, problem.penalty,
                                  tol_newton=problem.tol_newton)
     econfig = EvolutionConfig(dt=problem.dt, n_steps=problem.n_steps, penalty=problem.penalty,
-                              time_reg=problem.time_reg, tol_newton=problem.tol_newton,
-                              method=problem.method)
+                              tol_newton=problem.tol_newton, method=problem.method)
     return solve_unsteady(problem.data, problem.field, problem.grid, problem.tags, econfig,
                           v1eps=v1eps)
 
@@ -159,6 +159,8 @@ def _run_unsteady(problem, out):
     if comp > bound:
         failures.append(f"complementarity residual {comp} exceeds eps/4 bound {bound}")
     worst_mass = max((d["mass_balance_rel"] for d in diag), default=0.0)
+    if worst_mass > MASS_BALANCE_TOL:
+        failures.append(f"mass balance {worst_mass} exceeds {MASS_BALANCE_TOL}")
     summary = _summary_base(problem)
     summary.update({"mode": "unsteady", "times": list(traj.times),
                     "complementarity_max": comp, "mass_balance_worst": worst_mass,

@@ -14,7 +14,7 @@ Recognized sections and keys:
                  stationary-lower|stationary-upper|midpoint|csv), initial_csv,
                  M, project (bool)
   [penalty]      eps
-  [time]         T, dt, reg
+  [time]         T, dt
   [solver]       method (newton|picard), tol_newton
   [output]       dir, every_n_steps
 """
@@ -99,7 +99,6 @@ class Problem:
     assumption_report: object
     dt: float = 0.0
     n_steps: int = 0
-    time_reg: float = 0.0
     method: str = "newton"
     tol_newton: float = 1e-9
     project: bool = True
@@ -199,6 +198,9 @@ def build_problem(cfg):
     """Fail-fast construction of every object a pipeline touches."""
     from .permeability import validate_assumptions
 
+    if cfg.getfloat("time", "reg", 0.0) != 0.0:
+        raise ConfigError("time.reg (time regularization) is not supported; remove the key")
+
     # configparser lowercases keys, so L/K arrive as l/k
     geometry = DamGeometry(L=cfg.getfloat("geometry", "l", 1.0),
                            K=cfg.getfloat("geometry", "k", 1.0))
@@ -230,9 +232,8 @@ def build_problem(cfg):
 
     return Problem(config=cfg, geometry=geometry, grid=grid, field=field, tags=tags,
                    phi=phi, penalty=pen, data=data, assumption_report=report,
-                   dt=dt, n_steps=max(n_steps, 1),
-                   time_reg=cfg.getfloat("time", "reg", 0.0),
-                   method=method, tol_newton=cfg.getfloat("solver", "tol_newton", 1e-9),
+                   dt=dt, n_steps=max(n_steps, 1), method=method,
+                   tol_newton=cfg.getfloat("solver", "tol_newton", 1e-9),
                    project=cfg.getbool("data", "project", True),
                    every_n_steps=max(cfg.getint("output", "every_n_steps", 1), 1))
 

@@ -1,24 +1,25 @@
 """Backward-Euler time stepping of the penalized unsteady problem.
 
 Each step solves M (G_eps(u^{n+1}) - G_eps(u^n))/dt + S(u^{n+1}) = 0 with
-lumped mass M and the stationary residual operator S; the saturation is
-always reported as H_eps of the new pressure.
+lumped mass M and the stationary operator S (``stationary.DamOperator`` with
+its storage term on); the saturation is always reported as H_eps of the new
+pressure.
 """
 
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assembly import (LinearSolver, Q1Assembler, apply_dirichlet_matrix,
-                       apply_dirichlet_system)
+from .assembly import LinearSolver, Q1Assembler
+# not called here; perfbench/spans.py patches these two names on this module
+from .assembly import apply_dirichlet_matrix, apply_dirichlet_system  # noqa: F401
 from .errors import InvalidArgument, NonConvergence, StepFailure
 from .geometry import dirichlet_values
 from .nonlinear import newton_picard_solve
-from .penalty import PenaltyConfig, g_eps, g_eps_derivative, heaviside_eps, heaviside_eps_derivative
+from .penalty import PenaltyConfig, g_eps, heaviside_eps
 from .problem_data import SolutionField
-from .stationary import TOL_NEG, TOL_NEWTON, stationary_residual, stationary_jacobian
+from .stationary import TOL_NEG, TOL_NEWTON, DamOperator
 
 MAX_DT_RETRIES = 3
 
@@ -28,8 +29,6 @@ class EvolutionConfig:
     dt: float
     n_steps: int
     penalty: PenaltyConfig
-    time_reg: float = 0.0
-    mass_lumping: bool = True
     tol_newton: float = TOL_NEWTON
     method: str = "newton"
 
@@ -90,20 +89,16 @@ class _Stepper:
     """Caches assembly shared by every step of one trajectory."""
 
     def __init__(self, field, grid, tags, phi, config):
-        self.grid = grid
-        self.tags = tags
         self.config = config
         self.asm = Q1Assembler(grid, field)
         self.phi_flat = dirichlet_values(grid, tags, phi).ravel() if callable(phi) \
             else grid.flatten(phi).copy()
         self.dmask = tags.dirichlet_mask.ravel()
-        if not config.mass_lumping:
-            raise InvalidArgument("only the lumped-mass scheme is implemented")
         self.mlump = self.asm.lumped_mass()
         self.linsolver = LinearSolver()
 
-    def advance(self, u_flat, dt, u_prev_flat=None, chi_old=None):
-        """One backward-Euler step; returns (u_next_flat, SolveStats).
+    def advance(self, u_flat, dt, chi_old=None):
+        """One backward-Euler step; returns (u_next_flat, DamOperator, SolveStats).
 
         chi_old lets the caller carry a saturation that is not H_eps(u_old),
         as happens for the very first step of runs whose initial pair was
@@ -115,45 +110,15 @@ class _Stepper:
             g_old = g_eps(u_flat, pen)
         else:
             g_old = pen.alpha * u_flat + chi_old
-        reg = cfg.time_reg
-
-        def residual(u):
-            r = self.mlump * (g_eps(u, pen) - g_old) / dt
-            r += self.asm.stiffness() @ u
-            vq = self.asm.interp_at_quad(u)
-            r += self.asm.gravity_vector(heaviside_eps(vq, pen.eps))
-            if reg > 0.0 and u_prev_flat is not None:
-                r += reg * self.mlump * (u - 2.0 * u_flat + u_prev_flat) / dt
-            r[self.dmask] = u[self.dmask] - self.phi_flat[self.dmask]
-            return r
-
-        def jacobian(u):
-            diag = self.mlump * g_eps_derivative(u, pen) / dt
-            if reg > 0.0 and u_prev_flat is not None:
-                diag = diag + reg * self.mlump / dt
-            vq = self.asm.interp_at_quad(u)
-            J = (sp.diags(diag) + self.asm.stiffness()
-                 + self.asm.gravity_jacobian(heaviside_eps_derivative(vq, pen.eps)))
-            return apply_dirichlet_matrix(J, self.dmask)
-
-        def picard(u):
-            # freeze the gravity saturation at the current iterate, keep the
-            # monotone storage term semi-implicit through its diagonal slope;
-            # symmetric elimination keeps the system SPD for CG
-            diag = self.mlump * g_eps_derivative(u, pen) / dt
-            if reg > 0.0 and u_prev_flat is not None:
-                diag = diag + reg * self.mlump / dt
-            A0 = (sp.diags(diag) + self.asm.stiffness()).tocsr()
-            rhs0 = A0 @ u - residual(u)  # Dirichlet rows overwritten below
-            return apply_dirichlet_system(A0, self.dmask, self.phi_flat, rhs0)
-
+        op = DamOperator(self.asm, pen, self.dmask, self.phi_flat, self.mlump, dt, g_old)
         u0 = u_flat.copy()
         u0[self.dmask] = self.phi_flat[self.dmask]
-        u_next, stats = newton_picard_solve(u0, residual, jacobian, picard, self.linsolver,
-                                            tol_newton=cfg.tol_newton, method=cfg.method)
-        return u_next, residual, stats
+        u_next, stats = newton_picard_solve(u0, op.residual, op.jacobian, op.picard,
+                                            self.linsolver, tol_newton=cfg.tol_newton,
+                                            method=cfg.method)
+        return u_next, op, stats
 
-    def ledger(self, u_old_flat, u_new_flat, dt, chi_old=None):
+    def ledger(self, op, u_new_flat):
         """Per-step mass balance: storage change vs boundary inflow.
 
         The PDE rows at free nodes are the imbalance between the two
@@ -163,27 +128,19 @@ class _Stepper:
         stored mass.
         """
         pen = self.config.penalty
-        if chi_old is None:
-            g_old = g_eps(u_old_flat, pen)
-        else:
-            g_old = pen.alpha * u_old_flat + chi_old
-        vq = self.asm.interp_at_quad(u_new_flat)
-        pde = (self.mlump * (g_eps(u_new_flat, pen) - g_old) / dt
-               + self.asm.stiffness() @ u_new_flat
-               + self.asm.gravity_vector(heaviside_eps(vq, pen.eps)))
-        inflow = -float(np.sum(pde[self.dmask])) * dt
-        imbalance = float(np.sum(pde[~self.dmask])) * dt
+        pde = op.pde(u_new_flat)
+        inflow = -float(np.sum(pde[self.dmask])) * op.dt
+        imbalance = float(np.sum(pde[~self.dmask])) * op.dt
         scale = max(float(np.sum(self.mlump * np.abs(g_eps(u_new_flat, pen)))), abs(inflow), 1e-30)
         return imbalance, inflow, scale
 
 
-def step(state, config, field, grid, tags, phi, u_prev=None, stepper=None):
+def step(state, config, field, grid, tags, phi, stepper=None):
     """Advance one snapshot by dt with dt-halving retries on failure."""
     if stepper is None:
         stepper = _Stepper(field, grid, tags, phi, config)
     u_flat = grid.flatten(state.u).copy()
     chi_flat = grid.flatten(state.chi).copy()
-    u_prev_flat = grid.flatten(u_prev) if u_prev is not None else None
 
     dt = config.dt
     halvings = 0
@@ -193,8 +150,8 @@ def step(state, config, field, grid, tags, phi, u_prev=None, stepper=None):
             chi_old = chi_flat
             ledgers = []
             for _ in range(2 ** halvings):
-                u_next, _, stats = stepper.advance(u, dt, u_prev_flat, chi_old=chi_old)
-                ledgers.append(stepper.ledger(u, u_next, dt, chi_old=chi_old))
+                u_next, op, stats = stepper.advance(u, dt, chi_old=chi_old)
+                ledgers.append(stepper.ledger(op, u_next))
                 u = u_next
                 chi_old = None  # substeps after the first carry H_eps(u)
             break
@@ -242,13 +199,10 @@ def solve_unsteady(data, field, grid, tags, config, u0=None, chi0=None,
                           chi=np.asarray(chi0, dtype=float).reshape(grid.shape), time=0.0)
     traj = Trajectory(times=[0.0], snapshots=[first], diagnostics=[])
     state = first
-    prev_u = None
     for n in range(config.n_steps):
-        new, diag = step(state, config, field, grid, tags, data.phi,
-                         u_prev=prev_u, stepper=stepper)
+        new, diag = step(state, config, field, grid, tags, data.phi, stepper=stepper)
         traj.times.append(new.time)
         traj.snapshots.append(new)
         traj.diagnostics.append(diag)
-        prev_u = state.u
         state = new
     return traj

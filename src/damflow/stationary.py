@@ -8,13 +8,15 @@ there; the impervious bottom carries the natural no-flux condition.
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (LinearSolver, Q1Assembler, apply_dirichlet_matrix,
                        apply_dirichlet_system)
 from .errors import InvalidArgument, NonConvergence
 from .geometry import dirichlet_values
 from .nonlinear import newton_picard_solve
-from .penalty import heaviside_eps, heaviside_eps_derivative
+from .penalty import (PenaltyConfig, g_eps, g_eps_derivative, heaviside_eps,
+                      heaviside_eps_derivative)
 from .problem_data import SolutionField
 
 TOL_NEWTON = 1e-9
@@ -39,13 +41,66 @@ class StationarySolve:
         return SolutionField(u=self.v, chi=self.chi, time=0.0)
 
 
-def stationary_residual(v_flat, asm, tags, config, phi_flat):
-    """Discrete weak-form residual; Dirichlet rows read v - phi."""
-    vq = asm.interp_at_quad(v_flat)
-    r = asm.stiffness() @ v_flat + asm.gravity_vector(heaviside_eps(vq, config.eps))
-    dmask = tags.dirichlet_mask.ravel()
-    r[dmask] = v_flat[dmask] - phi_flat[dmask]
-    return r
+class DamOperator:
+    """The penalized operator S(u) = A u + b(H_eps(u)) with pinned rows.
+
+    Rows of ``pinned`` nodes read ``u - values``; every other row is the weak
+    form.  With a lumped storage term (``mlump``, ``dt``, ``g_old``) the free
+    rows are one backward-Euler step, ``mlump (G_eps(u) - g_old)/dt + S(u)``;
+    without it they are the stationary problem.
+    """
+
+    def __init__(self, asm, penalty, pinned, values, mlump=None, dt=None, g_old=None):
+        self.asm = asm
+        self.penalty = penalty
+        self.pinned = pinned
+        self.values = values
+        self.mlump = mlump
+        self.dt = dt
+        self.g_old = g_old
+
+    def _gravity(self, u):
+        return self.asm.gravity_vector(heaviside_eps(self.asm.interp_at_quad(u),
+                                                     self.penalty.eps))
+
+    def _storage(self, u):
+        return self.mlump * (g_eps(u, self.penalty) - self.g_old) / self.dt
+
+    def _storage_slope(self, u):
+        return self.mlump * g_eps_derivative(u, self.penalty) / self.dt
+
+    def pde(self, u):
+        """Weak-form rows at every node, pinned ones included."""
+        r = self.asm.stiffness() @ u
+        if self.mlump is not None:
+            r = self._storage(u) + r
+        return r + self._gravity(u)
+
+    def residual(self, u):
+        r = self.pde(u)
+        r[self.pinned] = u[self.pinned] - self.values[self.pinned]
+        return r
+
+    def jacobian(self, u):
+        """Generalized derivative of ``residual``; identity rows where pinned."""
+        J = self.asm.stiffness()
+        if self.mlump is not None:
+            J = sp.diags(self._storage_slope(u)) + J
+        dchi = heaviside_eps_derivative(self.asm.interp_at_quad(u), self.penalty.eps)
+        return apply_dirichlet_matrix(J + self.asm.gravity_jacobian(dchi), self.pinned)
+
+    def picard(self, u):
+        """Frozen-saturation system (D + A) w = D u - storage(u) - gravity(u).
+
+        D is the storage slope at u (no storage: D = 0), so the matrix is
+        symmetric and the pinned nodes are eliminated symmetrically for CG.
+        """
+        A, rhs = self.asm.stiffness(), -self._gravity(u)
+        if self.mlump is not None:
+            D = self._storage_slope(u)
+            A = (sp.diags(D) + A).tocsr()
+            rhs = D * u - self._storage(u) + rhs
+        return apply_dirichlet_system(A, self.pinned, self.values, rhs)
 
 
 def assemble_stationary_residual(v, field, grid, tags, config, n_gauss=2):
@@ -57,13 +112,7 @@ def assemble_stationary_residual(v, field, grid, tags, config, n_gauss=2):
     if v_flat.size != grid.n_nodes:
         raise InvalidArgument(f"field has {v_flat.size} values, grid has {grid.n_nodes} nodes")
     asm = Q1Assembler(grid, field, n_gauss=n_gauss)
-    return stationary_residual(v_flat, asm, tags, config, v_flat)
-
-
-def stationary_jacobian(v_flat, asm, tags, config):
-    vq = asm.interp_at_quad(v_flat)
-    J = asm.stiffness() + asm.gravity_jacobian(heaviside_eps_derivative(vq, config.eps))
-    return apply_dirichlet_matrix(J, tags.dirichlet_mask.ravel())
+    return DamOperator(asm, config, tags.dirichlet_mask.ravel(), v_flat).residual(v_flat)
 
 
 def hydrostatic_initial_guess(grid, tags, phi_flat):
@@ -85,7 +134,7 @@ def hydrostatic_initial_guess(grid, tags, phi_flat):
     return v
 
 
-def _positivity_polish(v, asm, tags, config, phi_flat, linsolver, tol_newton, max_iters):
+def _positivity_polish(v, problem, linsolver, tol_newton, max_iters):
     """Active-set enforcement of the nonnegativity constraint v >= 0.
 
     The sharp penalty ramp is subgrid once eps drops below roughly 2h/3 and
@@ -94,37 +143,23 @@ def _positivity_polish(v, asm, tags, config, phi_flat, linsolver, tol_newton, ma
     those nodes are clamped to zero (treated as an obstacle contact set) and
     the free nodes re-solved; the loop repeats until the contact set is
     complementary: v >= 0 everywhere, reaction >= 0 on clamped nodes.
-    Returns (v, stats, n_clamped).
+    ``problem`` is the stationary DamOperator; its pinned nodes are the
+    Dirichlet nodes.  Returns (v, stats, n_clamped).
     """
-    dmask = tags.dirichlet_mask.ravel()
+    dmask = problem.pinned
+    contact_values = np.where(dmask, problem.values, 0.0)
     active = np.zeros(v.size, dtype=bool)
     stats = None
     for _ in range(10):
-        r = stationary_residual(v, asm, tags, config, phi_flat)
+        r = problem.residual(v)
         grow = (v < -TOL_NEG) & ~dmask & ~active
         release = active & (r < -TOL_NEG)
         if not grow.any() and not release.any():
             break
         active = (active | grow) & ~release
-        pinned = dmask | active
-        vals = np.where(dmask, phi_flat, 0.0)
-
-        def residual(w):
-            rr = stationary_residual(w, asm, tags, config, phi_flat)
-            rr[active] = w[active]
-            return rr
-
-        def jacobian(w):
-            J = stationary_jacobian(w, asm, tags, config)
-            return apply_dirichlet_matrix(J, active) if active.any() else J
-
-        def picard(w):
-            vq = asm.interp_at_quad(w)
-            rhs = -asm.gravity_vector(heaviside_eps(vq, config.eps))
-            return apply_dirichlet_system(asm.stiffness(), pinned, vals, rhs)
-
+        op = DamOperator(problem.asm, problem.penalty, dmask | active, contact_values)
         v = np.where(active, 0.0, v)
-        v, stats = newton_picard_solve(v, residual, jacobian, picard, linsolver,
+        v, stats = newton_picard_solve(v, op.residual, op.jacobian, op.picard, linsolver,
                                        tol_newton=tol_newton, max_iters=max_iters)
     return v, stats, int(active.sum())
 
@@ -144,8 +179,6 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON,
     negativity beyond TOL_NEG is removed by an obstacle-style active-set
     polish, so the returned v is nonnegative up to rounding.
     """
-    from .penalty import PenaltyConfig
-
     if asm is None:
         asm = Q1Assembler(grid, field)
     if callable(phi):
@@ -168,29 +201,20 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON,
     ladder.append(config.eps)
 
     v = hydrostatic_initial_guess(grid, tags, phi_flat)
-    stats = None
-    total_iters = 0
+    ladder_stats = []
     for eps_k in ladder:
         cfg_k = config if eps_k == config.eps else PenaltyConfig(eps=eps_k, alpha=config.alpha)
-
-        def residual(w, cfg_k=cfg_k):
-            return stationary_residual(w, asm, tags, cfg_k, phi_flat)
-
-        def jacobian(w, cfg_k=cfg_k):
-            return stationary_jacobian(w, asm, tags, cfg_k)
-
-        def picard(w, cfg_k=cfg_k):
-            vq = asm.interp_at_quad(w)
-            rhs = -asm.gravity_vector(heaviside_eps(vq, cfg_k.eps))
-            return apply_dirichlet_system(asm.stiffness(), dmask, phi_flat, rhs)
-
-        v, stats = newton_picard_solve(v, residual, jacobian, picard, linsolver,
+        op = DamOperator(asm, cfg_k, dmask, phi_flat)
+        v, stats = newton_picard_solve(v, op.residual, op.jacobian, op.picard, linsolver,
                                        tol_newton=tol_newton, max_iters=max_iters,
                                        method=method)
-        total_iters += stats.iters
+        ladder_stats.append(stats)
+    total_iters = sum(st.iters for st in ladder_stats)
+    # the problem's own starting point: the hydrostatic guess at the first eps
+    initial_residual_norm = ladder_stats[0].initial_residual_norm
 
-    v, pstats, n_clamped = _positivity_polish(v, asm, tags, config, phi_flat, linsolver,
-                                              tol_newton, max_iters)
+    # the last rung is config.eps itself, so op is the problem being polished
+    v, pstats, n_clamped = _positivity_polish(v, op, linsolver, tol_newton, max_iters)
     if pstats is not None:
         stats = pstats
         total_iters += pstats.iters
@@ -203,7 +227,7 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON,
     chi = heaviside_eps(v, config.eps)
     return StationarySolve(v=v, chi=chi, residual_norm=stats.residual_norm,
                            newton_iters=total_iters, eps_used=config.eps, method=stats.method,
-                           diagnostics={"initial_residual_norm": stats.initial_residual_norm,
+                           diagnostics={"initial_residual_norm": initial_residual_norm,
                                         "line_search_failures": stats.line_search_failures,
                                         "linear_fallbacks": linsolver.fallbacks,
                                         "clamped_nodes": n_clamped,

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from damflow import cli
 from damflow.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
                          EXIT_SOLVER, EXIT_VALIDATION, main)
 
@@ -107,6 +108,22 @@ def test_unsteady_run_writes_snapshots(tmp_path):
     assert all(os.path.exists(os.path.join(out, s["file"])) for s in traj["snapshots"])
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["mass_balance_worst"] <= 1e-10
+
+
+def test_unsteady_mass_imbalance_fails_the_run(tmp_path, monkeypatch):
+    solve_unsteady = cli.solve_unsteady
+
+    def leaky(*args, **kwargs):
+        traj = solve_unsteady(*args, **kwargs)
+        traj.diagnostics[0].mass_balance_rel = 1e-6
+        return traj
+
+    monkeypatch.setattr(cli, "solve_unsteady", leaky)
+    cfg, out = _config(tmp_path, UNSTEADY)
+    assert main(["run", cfg]) == EXIT_CHECK_FAILED
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    assert summary["mass_balance_worst"] == 1e-6
+    assert any("mass balance" in f for f in summary["failures"])
 
 
 def test_out_override_and_env(tmp_path, monkeypatch):

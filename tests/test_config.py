@@ -93,6 +93,14 @@ def test_unknown_solver_method_rejected(tmp_path):
         build_problem(cfg)
 
 
+def test_time_regularization_rejected(tmp_path):
+    text = BASE + "\n[time]\nT = 1.0\ndt = 0.5\nreg = {reg}\n"
+    assert build_problem(load_config(_write(tmp_path, text.format(reg=0.0)))).n_steps == 2
+    cfg = load_config(_write(tmp_path, text.format(reg=0.5), name="reg.ini"))
+    with pytest.raises(ConfigError):
+        build_problem(cfg)
+
+
 def test_unknown_permeability_kind_rejected(tmp_path):
     text = BASE + "\n[permeability]\nkind = fractal\n"
     cfg = load_config(_write(tmp_path, text))

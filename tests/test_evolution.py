@@ -4,7 +4,7 @@ import pytest
 from damflow import (DamGeometry, InvalidArgument, PenaltyConfig, build_grid,
                      classify_boundary, identity_field, make_barrier_data,
                      solve_stationary)
-from damflow.evolution import EvolutionConfig, project_initial, solve_unsteady
+from damflow.evolution import EvolutionConfig, _Stepper, project_initial, solve_unsteady
 from damflow.penalty import complementarity_bound, heaviside_eps
 from damflow.problem_data import ProblemData
 
@@ -118,3 +118,16 @@ def test_snapshot_chi_is_ramp_of_pressure():
     for idx, s in enumerate(traj.snapshots[1:], start=1):
         np.testing.assert_array_equal(s.chi, heaviside_eps(s.u, pen.eps))
         assert s.time == pytest.approx(traj.times[idx])
+
+
+def test_ledger_splits_the_pde_total():
+    geom, grid, tags, field, phi0, phi1, pen = _barrier_setup(n=12, eps=6e-2)
+    _, X2 = grid.coords()
+    cfg = EvolutionConfig(dt=0.02, n_steps=1, penalty=pen)
+    stepper = _Stepper(field, grid, tags, phi0, cfg)
+    u_next, op, _ = stepper.advance(np.maximum(0.5 - X2, 0.0).ravel(), cfg.dt)
+    imbalance, inflow, scale = stepper.ledger(op, u_next)
+    pde = op.pde(u_next)
+    assert inflow == pytest.approx(-np.sum(pde[tags.dirichlet_mask.ravel()]) * cfg.dt)
+    assert imbalance - inflow == pytest.approx(np.sum(pde) * cfg.dt, abs=1e-14 * scale)
+    assert abs(imbalance) <= 1e-10 * scale

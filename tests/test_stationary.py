@@ -4,9 +4,12 @@ import pytest
 from damflow import (DamGeometry, InvalidArgument, PenaltyConfig, build_grid,
                      classify_boundary, hydrostatic_head, identity_field,
                      layered_field, solve_stationary)
-from damflow.stationary import (TOL_NEG, assemble_stationary_residual,
+from damflow import stationary
+from damflow.assembly import Q1Assembler
+from damflow.stationary import (TOL_NEG, DamOperator, assemble_stationary_residual,
                                 hydrostatic_initial_guess)
 from damflow.geometry import dirichlet_values
+from damflow.penalty import g_eps
 
 
 def _setup(n=32, k=0.5, field_maker=identity_field):
@@ -42,6 +45,17 @@ def test_subgrid_eps_continuation_and_positivity():
     assert solve.diagnostics["continuation_steps"] > 1
     assert float(np.min(solve.v)) >= -TOL_NEG
     assert solve.eps_used == 5e-3
+
+
+def test_initial_residual_norm_is_the_hydrostatic_guess_at_first_eps():
+    grid, tags, phi, field = _setup(n=24)
+    solve = solve_stationary(phi, field, grid, tags, PenaltyConfig(eps=5e-3))
+    phi_flat = dirichlet_values(grid, tags, phi).ravel()
+    v0 = hydrostatic_initial_guess(grid, tags, phi_flat).reshape(grid.shape)
+    first_eps = PenaltyConfig(eps=stationary._EPS_RESOLVED_CELLS * grid.h2)
+    r0 = assemble_stationary_residual(v0, field, grid, tags, first_eps)
+    assert solve.diagnostics["initial_residual_norm"] == pytest.approx(np.linalg.norm(r0),
+                                                                       rel=1e-12)
 
 
 def test_picard_method_converges():
@@ -88,3 +102,47 @@ def test_converged_residual_small():
     contact = (solve.v.ravel() < 1e-12) & free
     assert np.max(np.abs(r[free & ~contact])) < 1e-9
     assert np.min(r[contact], initial=0.0) > -TOL_NEG
+
+
+def _operator(storage, extra_pins, n=8, eps=0.1):
+    """DamOperator on a hydrostatic setup, at a state away from the ramp kinks."""
+    grid, tags, phi, field = _setup(n=n)
+    asm = Q1Assembler(grid, field)
+    pen = PenaltyConfig(eps=eps, alpha=0.3)
+    X1, X2 = grid.coords()
+    u = (0.56 - X2 + 0.01 * np.sin(7.0 * X1)).ravel()
+    pinned = tags.dirichlet_mask.ravel().copy()
+    values = dirichlet_values(grid, tags, phi).ravel()
+    if extra_pins:
+        pinned[[20, 31, 42]] = True
+        values[[20, 31, 42]] = [0.1, 0.0, 0.3]
+    kw = {}
+    if storage:
+        kw = {"mlump": asm.lumped_mass(), "dt": 0.05, "g_old": g_eps(u + 0.02, pen)}
+    return DamOperator(asm, pen, pinned, values, **kw), u
+
+
+@pytest.mark.parametrize("storage", [False, True])
+@pytest.mark.parametrize("extra_pins", [False, True])
+def test_operator_jacobian_is_derivative_of_residual(storage, extra_pins):
+    op, u = _operator(storage, extra_pins)
+    h = 1e-6
+    # the residual is piecewise linear; keep every nodal and quadrature value
+    # off the ramp kinks 0 and eps by more than the difference step
+    for vals in (u, op.asm.interp_at_quad(u)):
+        assert np.min(np.minimum(np.abs(vals), np.abs(vals - op.penalty.eps))) > 10 * h
+    J = op.jacobian(u).toarray()
+    fd = np.empty_like(J)
+    for j in range(u.size):
+        e = np.zeros(u.size)
+        e[j] = h
+        fd[:, j] = (op.residual(u + e) - op.residual(u - e)) / (2 * h)
+    np.testing.assert_allclose(J, fd, rtol=0, atol=1e-8 * np.max(np.abs(J)))
+
+
+@pytest.mark.parametrize("storage", [False, True])
+def test_operator_pinned_rows_read_u_minus_values(storage):
+    op, u = _operator(storage, extra_pins=True)
+    r = op.residual(u)
+    np.testing.assert_array_equal(r[op.pinned], u[op.pinned] - op.values[op.pinned])
+    np.testing.assert_array_equal(r[~op.pinned], op.pde(u)[~op.pinned])
