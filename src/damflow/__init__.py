@@ -18,6 +18,6 @@ from .certify import (CertificateReport, DifferencePair, DualSolver, EnergySerie
                       check_sandwich, energy, extract_free_boundary, gronwall_monitor,
                       sign_check, solve_dual, steklov_average, steklov_derivative)
 from .errors import (AssumptionViolation, DamflowError, IncompatibleRuns, InvalidArgument,
-                     InvalidData, NonConvergence, OutOfDomain, StepFailure)
+                     InvalidData, MalformedCSV, NonConvergence, OutOfDomain, StepFailure)
 
 __version__ = "0.1.0"

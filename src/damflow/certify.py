@@ -16,7 +16,6 @@ from .assembly import Q1Assembler, apply_dirichlet_matrix, solve_direct
 from .errors import InvalidArgument
 
 TOL_UNIQUE = 1e-6
-TOL_SIGN = 1e-8
 
 
 @dataclass
@@ -249,7 +248,7 @@ def _check_aligned(traj1, traj2):
 
 
 def gronwall_monitor(traj1, traj2, field, grid, tags, alpha, M=None,
-                     tol_unique=TOL_UNIQUE, tol_sign=TOL_SIGN, dual=None):
+                     tol_unique=TOL_UNIQUE, dual=None):
     """Dual-energy monitor of the uniqueness estimate for two trajectories.
 
     Returns (EnergySeries, CertificateReport).  The certificate passes iff

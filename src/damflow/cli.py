@@ -10,7 +10,7 @@ import os
 import shutil
 import sys
 
-from .certify import gronwall_monitor, sign_check
+from .certify import gronwall_monitor
 from .config import ConfigError, build_problem, load_config, output_dir
 from .errors import DamflowError, IncompatibleRuns, NonConvergence
 from .evolution import EvolutionConfig, Trajectory, solve_unsteady
@@ -188,15 +188,24 @@ def _run_certify(problem, out):
 
 
 def load_run(run_dir):
-    """Trajectory + problem objects reconstructed from a run directory."""
-    summary = read_json(os.path.join(run_dir, "summary.json"))
-    cfg = load_config(os.path.join(run_dir, "config.ini"))
+    """Trajectory + problem objects reconstructed from a run directory.
+
+    Raises IncompatibleRuns naming the first artifact the directory lacks.
+    """
+    def artifact(name):
+        path = os.path.join(run_dir, name)
+        if not os.path.isfile(path):
+            raise IncompatibleRuns(f"run directory {run_dir} has no {name}")
+        return path
+
+    summary = read_json(artifact("summary.json"))
+    traj_meta = read_json(artifact("trajectory.json"))
+    cfg = load_config(artifact("config.ini"))
     problem = build_problem(cfg)
-    traj_meta = read_json(os.path.join(run_dir, "trajectory.json"))
     snaps = []
     for entry in traj_meta["snapshots"]:
-        snaps.append(load_solution_csv(os.path.join(run_dir, entry["file"]),
-                                       problem.grid, time=entry["time"]))
+        snaps.append(load_solution_csv(artifact(entry["file"]), problem.grid,
+                                       time=entry["time"]))
     traj = Trajectory(times=[s.time for s in snaps], snapshots=snaps)
     return summary, problem, traj
 
@@ -214,7 +223,6 @@ def cmd_compare(dir_a, dir_b, out_path):
 
     series, report = gronwall_monitor(traj_a, traj_b, problem_a.field, problem_a.grid,
                                       problem_a.tags, problem_a.penalty.alpha)
-    report.sign_min = sign_check(traj_a, traj_b)
     write_json(out_path, report.as_dict())
     print(json.dumps(report.as_dict(), indent=2))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

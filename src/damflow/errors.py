@@ -13,6 +13,14 @@ class InvalidData(DamflowError):
     """Problem data failed validation (e.g. negative boundary head)."""
 
 
+class MalformedCSV(InvalidData, InvalidArgument):
+    """A node-dump or permeability CSV cannot be read onto the grid.
+
+    It is an InvalidData, as a defective node dump always raised, and an
+    InvalidArgument, as a defective permeability CSV always raised.
+    """
+
+
 class OutOfDomain(DamflowError):
     """A point lies outside the closed computational rectangle."""
 

@@ -1,18 +1,28 @@
-"""Atomic on-disk artifacts: node-dump CSVs and JSON summaries.
+"""On-disk artifacts: node-dump and permeability CSVs, JSON summaries.
 
-Numeric CSV cells use 17 significant digits and a fixed row order (j outer,
-i inner) so repeated runs round-trip bit-exactly.
+A node dump has the header ``i,j,x1,x2,u,chi`` and one row per grid node, j
+outer and i inner, with 17 significant digits so repeated runs round-trip
+bit-exactly.  A permeability CSV has the header ``x1,x2,a11,a12,a22`` and one
+row per grid node, in any order.  Both are read by one numpy row reader that
+skips the header, ``#`` lines and blank lines; every defect of the file raises
+``MalformedCSV``.  Every artifact is written atomically.
 """
 
+import io
 import json
 import os
+import re
 import tempfile
+import warnings
 
 import numpy as np
 
+from .errors import MalformedCSV
 
-def _fmt(x):
-    return format(float(x), ".17g")
+SOLUTION_HEADER = "i,j,x1,x2,u,chi"
+FIELD_HEADER = "x1,x2,a11,a12,a22"
+# a permeability point must lie within this fraction of the mesh width of a node
+NODE_TOL = 1e-6
 
 
 def atomic_write_text(path, text):
@@ -39,23 +49,89 @@ def read_json(path):
         return json.load(f)
 
 
+def _write_rows(path, header, row_format, columns):
+    """CSV of ``header`` plus one ``row_format`` line per entry of the columns."""
+    cells = np.column_stack(columns)
+    atomic_write_text(path, header + "\n"
+                      + ((row_format + "\n") * cells.shape[0]) % tuple(cells.ravel().tolist()))
+
+
 def write_solution_csv(path, grid, sol):
     """Node dump ``i,j,x1,x2,u,chi``."""
-    lines = ["i,j,x1,x2,u,chi"]
-    u = np.asarray(sol.u).reshape(grid.shape)
-    chi = np.asarray(sol.chi).reshape(grid.shape)
-    for j in range(grid.ny + 1):
-        x2 = j * grid.h2
-        for i in range(grid.nx + 1):
-            lines.append(f"{i},{j},{_fmt(i * grid.h1)},{_fmt(x2)},{_fmt(u[j, i])},{_fmt(chi[j, i])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    j, i = (a.ravel() for a in np.indices(grid.shape))
+    _write_rows(path, SOLUTION_HEADER, "%d,%d,%.17g,%.17g,%.17g,%.17g",
+                (i, j, i * grid.h1, j * grid.h2, np.ravel(sol.u), np.ravel(sol.chi)))
 
 
 def write_energy_csv(path, series):
-    lines = ["t,E,F"]
-    for t, e, f in zip(series.times, series.E, series.F):
-        lines.append(f"{_fmt(t)},{_fmt(e)},{_fmt(f)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, "t,E,F", "%.17g,%.17g,%.17g", (series.times, series.E, series.F))
+
+
+def _read_rows(path, header):
+    """The data rows of a numeric CSV as a float array, one column per name
+    in ``header``.
+
+    Skips the first line that reads ``header``, ``#`` lines and blank lines.
+    Raises MalformedCSV on a row with too few or too many cells, a cell that
+    is not a finite number, or a file without data rows.
+    """
+    try:
+        with open(path) as f:
+            text = re.sub(rf"^[ \t]*{re.escape(header)}[ \t]*$", "", f.read(), count=1,
+                          flags=re.M)
+        with warnings.catch_warnings():
+            # a file without data rows is reported below, not warned about
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(io.StringIO(text), delimiter=",", comments="#", ndmin=2)
+    except ValueError as exc:
+        # drop numpy's advice on `usecols`, which names no option of ours
+        raise MalformedCSV(f"CSV {path}: {str(exc).partition(';')[0]}") from None
+    if rows.shape[0] == 0:
+        raise MalformedCSV(f"CSV {path} has no data rows")
+    if rows.shape[1] != header.count(",") + 1:
+        raise MalformedCSV(f"CSV {path} has {rows.shape[1]} columns, expected {header}")
+    if not np.all(np.isfinite(rows)):
+        raise MalformedCSV(f"CSV {path} has a cell that is not a finite number")
+    return rows
+
+
+def _on_nodes(path, grid, s, t, tol, values):
+    """Scatter the rows' ``values`` to the nodes (i, j) = (s, t) rounded.
+
+    Every row must lie within ``tol`` of a node and every node must get
+    exactly one row.  Returns one nodal array per column of ``values``.
+    """
+    i, j = np.rint(s), np.rint(t)
+    bad = ((np.abs(s - i) > tol) | (np.abs(t - j) > tol)
+           | (i < 0) | (i > grid.nx) | (j < 0) | (j > grid.ny))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise MalformedCSV(f"CSV {path}: data row {k + 1} is not a grid node "
+                           f"(node coordinates i = {s[k]:.6g}, j = {t[k]:.6g})")
+    flat = (j * (grid.nx + 1) + i).astype(np.intp)
+    count = np.bincount(flat, minlength=grid.n_nodes)
+    if np.any(count > 1):
+        k = int(np.argmax(count > 1))
+        raise MalformedCSV(f"CSV {path}: node (i, j) = ({k % (grid.nx + 1)}, "
+                           f"{k // (grid.nx + 1)}) appears {count[k]} times")
+    if np.any(count == 0):
+        raise MalformedCSV(f"CSV {path} does not cover every grid node")
+    nodal = np.empty((values.shape[1], grid.n_nodes))
+    nodal[:, flat] = values.T
+    return tuple(col.reshape(grid.shape) for col in nodal)
+
+
+def read_solution_csv(path, grid):
+    """Nodal (u, chi) of a node dump ``i,j,x1,x2,u,chi``; x1 and x2 are not read."""
+    rows = _read_rows(path, SOLUTION_HEADER)
+    return _on_nodes(path, grid, rows[:, 0], rows[:, 1], 0.0, rows[:, 4:])
+
+
+def read_field_csv(path, grid):
+    """Nodal (a11, a12, a22) of a permeability CSV ``x1,x2,a11,a12,a22``."""
+    rows = _read_rows(path, FIELD_HEADER)
+    return _on_nodes(path, grid, rows[:, 0] / grid.h1, rows[:, 1] / grid.h2, NODE_TOL,
+                     rows[:, 2:])
 
 
 def snapshot_filename(step_index):

@@ -113,7 +113,9 @@ def _picard(v, r0n, residual_fn, picard_fn, linsolver, target, floor):
     it = 0
     while it < PICARD_MAX_ITERS and rn > floor:
         A, rhs = picard_fn(v)
-        v_lin = linsolver.solve(A, rhs, symmetric=True)
+        # solving for the correction makes the Krylov tolerance relative to
+        # the defect, not to the whole right-hand side
+        v_lin = v + linsolver.solve(A, rhs - A @ v, symmetric=True)
         # relaxation with backtracking: halve the mixing weight while the
         # residual grows, so the iteration cannot oscillate across the ramp
         omega = PICARD_RELAX

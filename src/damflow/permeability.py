@@ -6,13 +6,13 @@ diagonal fields affine in x2, smooth analytic fields, and fields sampled on
 a grid with bilinear interpolation (loadable from CSV).
 """
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AssumptionViolation, InvalidArgument, OutOfDomain
+from .errors import AssumptionViolation, OutOfDomain
+from .io import read_field_csv
 
 KIND_IDENTITY = "IDENTITY"
 KIND_LAYERED = "LAYERED"
@@ -158,24 +158,12 @@ def grid_sampled_field(grid, a11_nodes, a12_nodes, a22_nodes):
 
 
 def load_field_csv(path, grid):
-    """Load a GRID_SAMPLED field from CSV rows ``x1,x2,a11,a12,a22``."""
-    a11 = np.full(grid.shape, np.nan)
-    a12 = np.full(grid.shape, np.nan)
-    a22 = np.full(grid.shape, np.nan)
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        for row in reader:
-            if not row or row[0].strip().startswith(("x1", "#")):
-                continue
-            x1, x2, v11, v12, v22 = (float(c) for c in row[:5])
-            i = int(round(x1 / grid.h1))
-            j = int(round(x2 / grid.h2))
-            if not (0 <= i <= grid.nx and 0 <= j <= grid.ny):
-                raise InvalidArgument(f"CSV point ({x1}, {x2}) is not a grid node")
-            a11[j, i], a12[j, i], a22[j, i] = v11, v12, v22
-    if np.any(np.isnan(a11)):
-        raise InvalidArgument(f"CSV field {path} does not cover every grid node")
-    return grid_sampled_field(grid, a11, a12, a22)
+    """Load a GRID_SAMPLED field from CSV rows ``x1,x2,a11,a12,a22``.
+
+    Raises MalformedCSV (an InvalidArgument) when the rows are not exactly
+    one per grid node.
+    """
+    return grid_sampled_field(grid, *read_field_csv(path, grid))
 
 
 def eval_tensor(field, x):

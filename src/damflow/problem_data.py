@@ -1,12 +1,12 @@
 """Boundary heads, barrier data, initial data and the hydrostatic family."""
 
-import csv
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidArgument, InvalidData
+from .io import read_solution_csv
 
 
 @dataclass
@@ -141,15 +141,9 @@ def validate_initial(data, v0, v1, gamma0, gamma1, tol_order=1e-9):
 
 
 def load_solution_csv(path, grid, time=0.0):
-    """Load a nodal pair from CSV rows ``i,j,...,u,chi`` (u, chi last)."""
-    u = np.full(grid.shape, np.nan)
-    chi = np.full(grid.shape, np.nan)
-    with open(path, newline="") as f:
-        for row in csv.reader(f):
-            if not row or row[0].strip().startswith(("i", "#")):
-                continue
-            i, j = int(row[0]), int(row[1])
-            u[j, i], chi[j, i] = float(row[-2]), float(row[-1])
-    if np.any(np.isnan(u)) or np.any(np.isnan(chi)):
-        raise InvalidData(f"CSV {path} does not cover every grid node")
+    """Load a nodal pair from a node dump ``i,j,x1,x2,u,chi``.
+
+    Raises MalformedCSV (an InvalidData) when the file is not one row per node.
+    """
+    u, chi = read_solution_csv(path, grid)
     return SolutionField(u=u, chi=chi, time=time)

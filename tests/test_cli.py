@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -158,6 +159,23 @@ def test_compare_identical_runs_pass(tmp_path):
     report = json.load(open(report_path))
     assert report["passed"]
     assert report["sign_min"] >= 0.0
+
+
+def test_compare_incomplete_run_exit_3(tmp_path, capsys):
+    cfg, out = _config(tmp_path, UNSTEADY)
+    assert main(["run", cfg]) == EXIT_OK
+    partial = tmp_path / "partial"
+    shutil.copytree(out, partial)
+    os.remove(partial / "snapshot_00001.csv")
+    report_path = str(tmp_path / "cmp.json")
+    for other, missing in ((tmp_path / "absent", "summary.json"),
+                           (partial, "snapshot_00001.csv")):
+        capsys.readouterr()
+        assert main(["compare", out, str(other), "--out", report_path]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert missing in err
+    assert not os.path.exists(report_path)
 
 
 def test_sweep_runs_each_value(tmp_path):

@@ -131,3 +131,27 @@ def test_ledger_splits_the_pde_total():
     assert inflow == pytest.approx(-np.sum(pde[tags.dirichlet_mask.ravel()]) * cfg.dt)
     assert imbalance - inflow == pytest.approx(np.sum(pde) * cfg.dt, abs=1e-14 * scale)
     assert abs(imbalance) <= 1e-10 * scale
+
+
+def test_newton_and_picard_paths_agree_to_rounding():
+    """Both paths solve the same implicit system, so their steps agree far
+    below the Newton tolerance once Picard solves for its correction."""
+    geom = DamGeometry(2.0, 1.0)
+    grid = build_grid(geom, 16, 16)
+    phi0, _ = make_barrier_data(0.2, geom)
+    tags = classify_boundary(grid, phi0)
+    field = identity_field(geom)
+    pen = PenaltyConfig(eps=4e-2, alpha=0.3)
+    _, X2 = grid.coords()
+    u0 = 0.5 * (np.maximum(0.2 - X2, 0.0) + np.maximum(0.8 - X2, 0.0))
+    chi0 = 0.5 * (np.where(X2 < 0.2, 1.0, 0.0) + np.where(X2 < 0.8, 1.0, 0.0))
+    from damflow.geometry import dirichlet_values
+    dvals = dirichlet_values(grid, tags, phi0)
+    u0[tags.dirichlet_mask] = dvals[tags.dirichlet_mask]
+    data = ProblemData(alpha=pen.alpha, T_final=0.1, eps0=0.2, phi=phi0, u0=u0, chi0=chi0)
+    trajs = {m: solve_unsteady(data, field, grid, tags,
+                               EvolutionConfig(dt=0.02, n_steps=5, penalty=pen, method=m))
+             for m in ("newton", "picard")}
+    gap = max(float(np.max(np.abs(a.u - b.u)))
+              for a, b in zip(trajs["newton"].snapshots, trajs["picard"].snapshots))
+    assert gap <= 1e-13

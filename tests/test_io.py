@@ -1,11 +1,47 @@
-import os
-
 import numpy as np
+import pytest
 
-from damflow import DamGeometry, build_grid
+from damflow import DamGeometry, InvalidData, MalformedCSV, build_grid
+from damflow.cli import EXIT_VALIDATION, main
 from damflow.io import (atomic_write_text, read_json, snapshot_filename,
                         write_json, write_solution_csv)
 from damflow.problem_data import SolutionField, load_solution_csv
+
+GOLDEN = b"""i,j,x1,x2,u,chi
+0,0,0,0,0,1
+1,0,0.14999999999999999,0,0.10000000000000001,0.5
+2,0,0.29999999999999999,0,0.33333333333333331,0.20000000000000001
+0,1,0,0.34999999999999998,0.66666666666666663,0
+1,1,0.14999999999999999,0.34999999999999998,0,1
+2,1,0.29999999999999999,0.34999999999999998,1e-300,0.14285714285714285
+0,2,0,0.69999999999999996,3.1415926535897931,0
+1,2,0.14999999999999999,0.69999999999999996,0.25,0.99999999999999989
+2,2,0.29999999999999999,0.69999999999999996,0,1
+"""
+
+INITIAL_CSV_CONFIG = """
+[grid]
+nx = 2
+ny = 2
+
+[data]
+phi = hydrostatic
+k = 0.5
+initial = csv
+initial_csv = initial.csv
+"""
+
+# each defect turns the rows of a valid 2x2 node dump into a malformed file,
+# paired with the part of the message that names the defect
+SOLUTION_DEFECTS = {
+    "negative_index": (lambda rows: rows + ["-1,0,0,0,0.5,1"], "not a grid node"),
+    "out_of_range_index": (lambda rows: rows + ["3,0,1.5,0,0.5,1"], "not a grid node"),
+    "non_integer_index": (lambda rows: rows + ["0.5,0,0.25,0,0.5,1"], "not a grid node"),
+    "short_row": (lambda rows: rows + ["2,2"], "columns"),
+    "non_numeric_cell": (lambda rows: rows[:-1] + ["2,2,1,1,wet,1"], "could not convert"),
+    "duplicated_node": (lambda rows: rows + [rows[0]], "appears 2 times"),
+    "header_only": (lambda rows: [], "no data rows"),
+}
 
 
 def test_atomic_write_creates_directories_and_no_temp_files(tmp_path):
@@ -36,6 +72,35 @@ def test_solution_csv_roundtrip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.u, sol.u)
     np.testing.assert_array_equal(back.chi, sol.chi)
     assert back.time == 0.25
+
+
+def test_solution_csv_golden_bytes(tmp_path):
+    """The node-dump contract: header, j-outer rows, 17 significant digits."""
+    grid = build_grid(DamGeometry(0.3, 0.7), 2, 2)
+    sol = SolutionField(u=[[0.0, 0.1, 1 / 3], [2 / 3, 0.0, 1e-300], [np.pi, 0.25, 0.0]],
+                        chi=[[1.0, 0.5, 0.2], [0.0, 1.0, 1 / 7], [0.0, 1 - 1e-16, 1.0]])
+    path = tmp_path / "sol.csv"
+    write_solution_csv(str(path), grid, sol)
+    assert path.read_bytes() == GOLDEN
+
+
+@pytest.mark.parametrize("defect", sorted(SOLUTION_DEFECTS))
+def test_load_solution_csv_rejects_malformed(tmp_path, capsys, defect):
+    grid = build_grid(DamGeometry(1.0, 1.0), 2, 2)
+    rows = [f"{i},{j},{i * grid.h1},{j * grid.h2},0.5,1"
+            for j in range(grid.ny + 1) for i in range(grid.nx + 1)]
+    make, message = SOLUTION_DEFECTS[defect]
+    path = tmp_path / "initial.csv"
+    path.write_text("\n".join(["i,j,x1,x2,u,chi"] + make(rows)) + "\n")
+    with pytest.raises(MalformedCSV, match=message) as exc:
+        load_solution_csv(str(path), grid)
+    assert isinstance(exc.value, InvalidData)
+
+    config = tmp_path / "run.ini"
+    config.write_text(INITIAL_CSV_CONFIG)
+    assert main(["validate", str(config)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
 
 
 def test_repeated_writes_identical(tmp_path):

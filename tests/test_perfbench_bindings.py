@@ -10,7 +10,7 @@ import numpy as np
 
 import damflow
 from damflow import (DamGeometry, EvolutionConfig, PenaltyConfig, ProblemData, build_grid,
-                     classify_boundary, evolution, hydrostatic_head, hydrostatic_profile,
+                     classify_boundary, cli, evolution, hydrostatic_head, hydrostatic_profile,
                      identity_field, nonlinear, stationary)
 
 _SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -64,6 +64,54 @@ def test_span_recorder_patches_and_restores_every_binding():
     parents = {names[span[3]] for span in rec.spans
                if span[0] == "nonlinear.solve" and span[3] is not None}
     assert parents == {"stationary.solve", "evolution.step"}
+
+
+TINY_RUN = """
+[run]
+mode = unsteady
+
+[grid]
+nx = 8
+ny = 8
+
+[physics]
+alpha = 0.3
+
+[data]
+phi = hydrostatic
+k = 0.5
+
+[penalty]
+eps = 0.1
+
+[time]
+T = 0.2
+dt = 0.1
+
+[output]
+dir = run
+"""
+
+
+def test_span_recorder_sees_cli_artifact_round_trip(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(TINY_RUN)
+    run_dir = str(tmp_path / "run")
+    rec = spans.SpanRecorder()
+    patcher = spans.instrument(rec)
+    try:
+        assert cli.main(["run", str(config)]) == cli.EXIT_OK
+        assert cli.main(["compare", run_dir, run_dir,
+                         "--out", str(tmp_path / "report.json")]) == cli.EXIT_OK
+    finally:
+        patcher.restore()
+
+    names = {span[0] for span in rec.spans}
+    for name in ("io.csv_write", "io.csv_read", "config.build_problem", "cli.run",
+                 "cli.compare"):
+        assert name in names, name
+    assert rec.counts[rec.run]["io.csv_write.bytes"] > 0
+    assert rec.counts[rec.run]["io.csv_read.bytes"] > 0
 
 
 def test_step_clock_times_iterations_and_steps():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from damflow import (AssumptionViolation, DamGeometry, OutOfDomain, build_grid,
-                     constant_anisotropic_field, identity_field, layered_field,
-                     validate_assumptions)
+from damflow import (AssumptionViolation, DamGeometry, InvalidArgument, MalformedCSV,
+                     OutOfDomain, build_grid, constant_anisotropic_field, identity_field,
+                     layered_field, validate_assumptions)
+from damflow.cli import EXIT_VALIDATION, main
 from damflow.permeability import (SymTensor2, eval_tensor, grid_sampled_field,
                                   load_field_csv, smooth_field)
 
@@ -98,6 +99,51 @@ def test_load_field_csv_incomplete_rejected(tmp_path):
     path.write_text("x1,x2,a11,a12,a22\n0.0,0.0,1.0,0.0,1.0\n")
     with pytest.raises(InvalidArgument):
         load_field_csv(str(path), grid)
+
+
+FIELD_CSV_CONFIG = """
+[grid]
+nx = 2
+ny = 2
+
+[permeability]
+kind = csv
+csv = field.csv
+
+[data]
+phi = hydrostatic
+k = 0.5
+"""
+
+# each defect turns the rows of a valid 2x2 permeability CSV into a malformed
+# file, paired with the part of the message that names the defect
+FIELD_DEFECTS = {
+    "off_node_point": (lambda rows: rows + ["0.25,0.5,1,0,1"], "not a grid node"),
+    "point_outside": (lambda rows: rows + ["1.5,0,1,0,1"], "not a grid node"),
+    "short_row": (lambda rows: rows + ["0.5,0.5,1"], "columns"),
+    "non_numeric_cell": (lambda rows: rows[:-1] + ["1,1,1,0,high"], "could not convert"),
+    "duplicated_node": (lambda rows: rows + [rows[0]], "appears 2 times"),
+    "header_only": (lambda rows: [], "no data rows"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(FIELD_DEFECTS))
+def test_load_field_csv_rejects_malformed(tmp_path, capsys, defect):
+    grid = build_grid(DamGeometry(1.0, 1.0), 2, 2)
+    X1, X2 = grid.coords()
+    rows = [f"{x1},{x2},1.0,0.0,1.0" for x1, x2 in zip(X1.ravel(), X2.ravel())]
+    make, message = FIELD_DEFECTS[defect]
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join(["x1,x2,a11,a12,a22"] + make(rows)) + "\n")
+    with pytest.raises(MalformedCSV, match=message) as exc:
+        load_field_csv(str(path), grid)
+    assert isinstance(exc.value, InvalidArgument)
+
+    config = tmp_path / "run.ini"
+    config.write_text(FIELD_CSV_CONFIG)
+    assert main(["validate", str(config)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
 
 
 def test_smooth_field_callables():
