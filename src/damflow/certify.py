@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .assembly import Q1Assembler, apply_dirichlet_matrix, solve_direct
+from .assembly import Q1Assembler, apply_dirichlet_matrix
 from .errors import InvalidArgument
 
 TOL_UNIQUE = 1e-6

@@ -5,19 +5,20 @@ error, 3 validation failure, 4 solver nonconvergence.
 """
 
 import argparse
+import dataclasses
 import json
 import os
-import shutil
 import sys
 
 from .certify import gronwall_monitor
-from .config import ConfigError, build_problem, load_config, output_dir
+from .config import (ConfigError, build_problem, load_config, output_dir, pose_problem,
+                     resolve_path)
 from .errors import DamflowError, IncompatibleRuns, NonConvergence
 from .evolution import EvolutionConfig, Trajectory, solve_unsteady
-from .geometry import classify_boundary
-from .io import read_json, snapshot_filename, write_energy_csv, write_json, write_solution_csv
+from .io import (atomic_write_text, read_json, snapshot_filename, write_energy_csv, write_json,
+                 write_solution_csv)
 from .penalty import complementarity_bound
-from .problem_data import load_solution_csv, make_barrier_data
+from .problem_data import load_solution_csv
 from .stationary import solve_stationary
 
 EXIT_OK = 0
@@ -83,27 +84,26 @@ def cmd_validate(config_path):
 
 def cmd_run(config_path, out_override=None):
     cfg = load_config(config_path)
+    if cfg.mode == "sweep":
+        raise ConfigError("run.mode=sweep is driven by the `damflow sweep` command")
+    return _execute(cfg, cfg.mode, output_dir(cfg, out_override))[0]
+
+
+def _execute(cfg, mode, out):
+    """Build the problem, run the ``mode`` pipeline into ``out`` and write
+    its config.ini and summary.json; returns (exit code, summary)."""
     problem = build_problem(cfg)
-    out = output_dir(cfg, out_override)
     os.makedirs(out, exist_ok=True)
-    shutil.copyfile(cfg.path, os.path.join(out, "config.ini"))
-
-    if cfg.mode == "stationary":
-        return _run_stationary(problem, out)
-    if cfg.mode == "unsteady":
-        return _run_unsteady(problem, out)
-    if cfg.mode == "certify":
-        return _run_certify(problem, out)
-    raise ConfigError("run.mode=sweep is driven by the `damflow sweep` command")
-
-
-def _summary_base(problem):
+    _write_config_ini(os.path.join(out, "config.ini"), cfg)
     grid = problem.grid
-    return {"geometry": {"L": grid.geometry.L, "K": grid.geometry.K},
-            "grid": {"nx": grid.nx, "ny": grid.ny},
-            "alpha": problem.penalty.alpha,
-            "eps": problem.penalty.eps,
-            "assumptions": problem.assumption_report.as_dict()}
+    summary = {"geometry": {"L": grid.geometry.L, "K": grid.geometry.K},
+               "grid": {"nx": grid.nx, "ny": grid.ny},
+               "alpha": problem.penalty.alpha,
+               "eps": problem.penalty.eps,
+               "assumptions": problem.assumption_report.as_dict(),
+               **PIPELINES[mode](problem, out)}
+    write_json(os.path.join(out, "summary.json"), summary)
+    return (EXIT_CHECK_FAILED if summary["failures"] else EXIT_OK), summary
 
 
 def _run_stationary(problem, out):
@@ -111,26 +111,17 @@ def _run_stationary(problem, out):
                              problem.penalty, tol_newton=problem.tol_newton,
                              method=problem.method)
     write_solution_csv(os.path.join(out, "solution.csv"), problem.grid, solve.solution_field())
-    summary = _summary_base(problem)
-    summary.update({"mode": "stationary", "residual_norm": solve.residual_norm,
-                    "newton_iters": solve.newton_iters, "method": solve.method,
-                    "complete": True, "failures": []})
-    write_json(os.path.join(out, "summary.json"), summary)
-    return EXIT_OK
+    return {"mode": "stationary", "residual_norm": solve.residual_norm,
+            "newton_iters": solve.newton_iters, "method": solve.method,
+            "complete": True, "failures": []}
 
 
 def _simulate(problem):
     """Unsteady pipeline shared by run and certify: barrier clip + stepping."""
-    phi1 = make_barrier_data(problem.data.eps0, problem.geometry)[1]
-    v1eps = None
-    if problem.project:
-        tags1 = classify_boundary(problem.grid, phi1)
-        v1eps = solve_stationary(phi1, problem.field, problem.grid, tags1, problem.penalty,
-                                 tol_newton=problem.tol_newton)
     econfig = EvolutionConfig(dt=problem.dt, n_steps=problem.n_steps, penalty=problem.penalty,
                               tol_newton=problem.tol_newton, method=problem.method)
     return solve_unsteady(problem.data, problem.field, problem.grid, problem.tags, econfig,
-                          v1eps=v1eps)
+                          v1eps=problem.barrier(1) if problem.project else None)
 
 
 def _write_trajectory(problem, traj, out):
@@ -161,51 +152,47 @@ def _run_unsteady(problem, out):
     worst_mass = max((d["mass_balance_rel"] for d in diag), default=0.0)
     if worst_mass > MASS_BALANCE_TOL:
         failures.append(f"mass balance {worst_mass} exceeds {MASS_BALANCE_TOL}")
-    summary = _summary_base(problem)
-    summary.update({"mode": "unsteady", "times": list(traj.times),
-                    "complementarity_max": comp, "mass_balance_worst": worst_mass,
-                    "complete": True, "failures": failures})
-    write_json(os.path.join(out, "summary.json"), summary)
-    return EXIT_OK if not failures else EXIT_CHECK_FAILED
+    return {"mode": "unsteady", "times": list(traj.times), "complementarity_max": comp,
+            "mass_balance_worst": worst_mass, "complete": True, "failures": failures}
 
 
 def _run_certify(problem, out):
     """Newton-path vs Picard-path uniqueness experiment on one config."""
-    import dataclasses
-
     traj_n = _simulate(dataclasses.replace(problem, method="newton"))
     traj_p = _simulate(dataclasses.replace(problem, method="picard"))
     series, report = gronwall_monitor(traj_n, traj_p, problem.field, problem.grid,
                                       problem.tags, problem.penalty.alpha)
     write_energy_csv(os.path.join(out, "energy.csv"), series)
     write_json(os.path.join(out, "certificate.json"), report.as_dict())
-    summary = _summary_base(problem)
     failures = [] if report.passed else [f"sup_E {report.sup_E} above {report.tol * report.scale}"]
-    summary.update({"mode": "certify", "complete": True, "failures": failures,
-                    "certificate": report.as_dict()})
-    write_json(os.path.join(out, "summary.json"), summary)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return {"mode": "certify", "complete": True, "failures": failures,
+            "certificate": report.as_dict()}
+
+
+PIPELINES = {"stationary": _run_stationary, "unsteady": _run_unsteady, "certify": _run_certify}
 
 
 def load_run(run_dir):
     """Trajectory + problem objects reconstructed from a run directory.
 
-    Raises IncompatibleRuns naming the first artifact the directory lacks.
+    Only the stored artifacts are read and the problem is posed, not
+    solved.  Raises IncompatibleRuns naming the first artifact the directory
+    lacks or whose JSON does not parse.
     """
-    def artifact(name):
+    def artifact(name, read=None):
         path = os.path.join(run_dir, name)
         if not os.path.isfile(path):
             raise IncompatibleRuns(f"run directory {run_dir} has no {name}")
-        return path
+        try:
+            return read(path) if read else path
+        except ValueError as exc:
+            raise IncompatibleRuns(f"run directory {run_dir} has a corrupt {name}: {exc}") from exc
 
-    summary = read_json(artifact("summary.json"))
-    traj_meta = read_json(artifact("trajectory.json"))
-    cfg = load_config(artifact("config.ini"))
-    problem = build_problem(cfg)
-    snaps = []
-    for entry in traj_meta["snapshots"]:
-        snaps.append(load_solution_csv(artifact(entry["file"]), problem.grid,
-                                       time=entry["time"]))
+    summary = artifact("summary.json", read_json)
+    traj_meta = artifact("trajectory.json", read_json)
+    problem = pose_problem(load_config(artifact("config.ini")))
+    snaps = [load_solution_csv(artifact(entry["file"]), problem.grid, time=entry["time"])
+             for entry in traj_meta["snapshots"]]
     traj = Trajectory(times=[s.time for s in snaps], snapshots=snaps)
     return summary, problem, traj
 
@@ -237,36 +224,33 @@ def cmd_sweep(config_path, param, values, out_override=None):
     os.makedirs(root, exist_ok=True)
 
     results = []
-    worst = EXIT_OK
     for value in values:
         sub_cfg = load_config(config_path)
         sub_cfg.raw.setdefault(section, {})[key] = value
         sub_dir = os.path.join(root, f"{section}.{key}={value}")
-        problem = build_problem(sub_cfg)
-        os.makedirs(sub_dir, exist_ok=True)
-        _write_config_ini(os.path.join(sub_dir, "config.ini"), sub_cfg.raw)
-        if sub_cfg.mode == "stationary":
-            code = _run_stationary(problem, sub_dir)
-            comp = None
-        else:
-            code = _run_unsteady(problem, sub_dir)
-            comp = read_json(os.path.join(sub_dir, "summary.json"))["complementarity_max"]
-        worst = max(worst, code)
+        # a sweep-mode config sweeps the unsteady pipeline
+        mode = "unsteady" if sub_cfg.mode == "sweep" else sub_cfg.mode
+        code, summary = _execute(sub_cfg, mode, sub_dir)
         results.append({"value": value, "dir": sub_dir, "exit": code,
-                        "complementarity_max": comp})
+                        "complementarity_max": summary.get("complementarity_max")})
     write_json(os.path.join(root, "sweep_summary.json"),
                {"param": param, "results": results, "complete": True})
-    return worst
+    return max((r["exit"] for r in results), default=EXIT_OK)
 
 
-def _write_config_ini(path, raw):
-    """Persist a (possibly sweep-modified) config so run dirs are replayable."""
+def _write_config_ini(path, cfg):
+    """Persist a (possibly sweep-modified) config so run dirs are replayable:
+    its CSV paths are made absolute, so the copy reads the same files."""
+    raw = {section: dict(entries) for section, entries in cfg.raw.items()}
+    for section, key in (("permeability", "csv"), ("data", "initial_csv")):
+        if raw.get(section, {}).get(key):
+            raw[section][key] = os.path.abspath(resolve_path(raw[section][key], cfg.path))
     lines = []
     for section, entries in raw.items():
         lines.append(f"[{section}]")
-        lines.extend(f"{k} = {v}" for k, v in entries.items())
+        # configparser reads "%%" back as "%"
+        lines.extend(f"{k} = {str(v).replace('%', '%%')}" for k, v in entries.items())
         lines.append("")
-    from .io import atomic_write_text
     atomic_write_text(path, "\n".join(lines))
 
 

@@ -20,15 +20,14 @@ Recognized sections and keys:
 """
 
 import configparser
+import functools
 import os
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from . import permeability as perm
-from .errors import DamflowError, InvalidArgument
+from .errors import DamflowError
 from .geometry import DamGeometry, build_grid, classify_boundary
-from .penalty import PenaltyConfig, heaviside_eps
+from .penalty import PenaltyConfig
 from .problem_data import (ProblemData, hydrostatic_head, hydrostatic_profile,
                            load_solution_csv, make_barrier_data, two_reservoir_head)
 
@@ -86,7 +85,12 @@ def load_config(path):
 
 @dataclass
 class Problem:
-    """Everything a pipeline needs, built and validated up front."""
+    """Everything a pipeline needs, built and validated up front.
+
+    ``build_problem`` adds ``data`` and ``barrier`` to what ``pose_problem``
+    fills; ``barrier(k)`` is the lower (k = 0) or upper (k = 1) barrier's
+    stationary solve, made on first use and then kept.
+    """
 
     config: RunConfig
     geometry: DamGeometry
@@ -95,8 +99,9 @@ class Problem:
     tags: object
     phi: object
     penalty: PenaltyConfig
-    data: ProblemData
     assumption_report: object
+    data: object = None
+    barrier: object = None
     dt: float = 0.0
     n_steps: int = 0
     method: str = "newton"
@@ -123,7 +128,7 @@ def build_field(cfg, geometry, grid):
         path = cfg.get("permeability", "csv")
         if not path:
             raise ConfigError("permeability.kind=csv requires permeability.csv")
-        path = _resolve(path, cfg.path)
+        path = resolve_path(path, cfg.path)
         if not os.path.exists(path):
             raise ConfigError(f"permeability CSV not found: {path}")
         return perm.load_field_csv(path, grid)
@@ -152,14 +157,13 @@ def build_head(cfg, geometry):
     raise ConfigError(f"unknown boundary head preset {preset!r}")
 
 
-def build_initial(cfg, grid, tags, field, pen):
+def build_initial(cfg, grid, barrier):
     """Initial (u0, chi0) from the configured preset.
 
     Stationary-based presets solve the penalized barrier problems here, so
     validation catches their failures before the time loop starts.
     """
     preset = (cfg.get("data", "initial", "hydrostatic") or "hydrostatic").strip().lower()
-    geometry = grid.geometry
     if preset == "hydrostatic":
         k = cfg.getfloat("data", "k")
         if k is None:
@@ -170,34 +174,26 @@ def build_initial(cfg, grid, tags, field, pen):
         path = cfg.get("data", "initial_csv")
         if not path:
             raise ConfigError("data.initial=csv requires data.initial_csv")
-        path = _resolve(path, cfg.path)
+        path = resolve_path(path, cfg.path)
         if not os.path.exists(path):
             raise ConfigError(f"initial CSV not found: {path}")
         sol = load_solution_csv(path, grid)
         return sol.u, sol.chi
     if preset in ("stationary-lower", "stationary-upper", "midpoint"):
-        from .stationary import solve_stationary
-        eps0 = cfg.getfloat("data", "eps0")
-        if eps0 is None:
+        if cfg.getfloat("data", "eps0") is None:
             raise ConfigError(f"data.initial={preset} requires data.eps0")
-        phi0, phi1 = make_barrier_data(eps0, geometry)
-        if preset == "stationary-lower":
-            s = solve_stationary(phi0, field, grid, tags, pen)
+        if preset != "midpoint":
+            s = barrier(int(preset == "stationary-upper"))
             return s.v, s.chi
-        if preset == "stationary-upper":
-            s = solve_stationary(phi1, field, grid, tags, pen)
-            return s.v, s.chi
-        s0 = solve_stationary(phi0, field, grid, tags, pen)
-        s1 = solve_stationary(phi1, field, grid, tags, pen)
+        s0, s1 = barrier(0), barrier(1)
         # midpoint of the order interval; chi need not equal H_eps(u) initially
         return 0.5 * (s0.v + s1.v), 0.5 * (s0.chi + s1.chi)
     raise ConfigError(f"unknown initial preset {preset!r}")
 
 
-def build_problem(cfg):
-    """Fail-fast construction of every object a pipeline touches."""
-    from .permeability import validate_assumptions
-
+def pose_problem(cfg):
+    """Every part of a problem that takes no solve: geometry, grid, field,
+    assumption report, penalty, head, tags, time grid and solver settings."""
     if cfg.getfloat("time", "reg", 0.0) != 0.0:
         raise ConfigError("time.reg (time regularization) is not supported; remove the key")
 
@@ -206,15 +202,10 @@ def build_problem(cfg):
                            K=cfg.getfloat("geometry", "k", 1.0))
     grid = build_grid(geometry, cfg.getint("grid", "nx", 16), cfg.getint("grid", "ny", 16))
     field = build_field(cfg, geometry, grid)
-    report = validate_assumptions(field, grid)
-
-    alpha = cfg.getfloat("physics", "alpha", 0.0)
-    eps = cfg.getfloat("penalty", "eps", 1e-2)
-    pen = PenaltyConfig(eps=eps, alpha=alpha)
-
+    report = perm.validate_assumptions(field, grid)
+    pen = PenaltyConfig(eps=cfg.getfloat("penalty", "eps", 1e-2),
+                        alpha=cfg.getfloat("physics", "alpha", 0.0))
     phi = build_head(cfg, geometry)
-    tags = classify_boundary(grid, phi)
-    u0, chi0 = build_initial(cfg, grid, tags, field, pen)
 
     T = cfg.getfloat("time", "t", 1.0)
     dt = cfg.getfloat("time", "dt", grid.h2)
@@ -222,20 +213,37 @@ def build_problem(cfg):
     if n_steps >= 1 and abs(n_steps * dt - T) > 1e-12 * max(T, 1.0):
         raise ConfigError(f"time.T={T} is not an integer multiple of time.dt={dt}")
 
-    eps0 = cfg.getfloat("data", "eps0", min(0.1, geometry.K / 4.0))
-    data = ProblemData(alpha=alpha, T_final=T, eps0=eps0, phi=phi, u0=u0, chi0=chi0,
-                       M=cfg.getfloat("data", "m", 0.0) or 0.0)
-
     method = (cfg.get("solver", "method", "newton") or "newton").strip().lower()
     if method not in ("newton", "picard"):
         raise ConfigError(f"unknown solver method {method!r}")
 
-    return Problem(config=cfg, geometry=geometry, grid=grid, field=field, tags=tags,
-                   phi=phi, penalty=pen, data=data, assumption_report=report,
-                   dt=dt, n_steps=max(n_steps, 1), method=method,
+    return Problem(config=cfg, geometry=geometry, grid=grid, field=field,
+                   tags=classify_boundary(grid, phi), phi=phi, penalty=pen,
+                   assumption_report=report, dt=dt, n_steps=max(n_steps, 1), method=method,
                    tol_newton=cfg.getfloat("solver", "tol_newton", 1e-9),
                    project=cfg.getbool("data", "project", True),
                    every_n_steps=max(cfg.getint("output", "every_n_steps", 1), 1))
+
+
+def build_problem(cfg):
+    """Fail-fast construction of every object a pipeline touches."""
+    problem = pose_problem(cfg)
+    eps0 = cfg.getfloat("data", "eps0", min(0.1, problem.geometry.K / 4.0))
+
+    @functools.cache
+    def barrier(k):
+        # looked up at call time, so a patched stationary.solve_stationary is seen
+        from .stationary import solve_stationary
+        return solve_stationary(make_barrier_data(eps0, problem.geometry)[k], problem.field,
+                                problem.grid, problem.tags, problem.penalty,
+                                tol_newton=problem.tol_newton)
+
+    problem.barrier = barrier
+    u0, chi0 = build_initial(cfg, problem.grid, barrier)
+    problem.data = ProblemData(alpha=problem.penalty.alpha, T_final=cfg.getfloat("time", "t", 1.0),
+                               eps0=eps0, phi=problem.phi, u0=u0, chi0=chi0,
+                               M=cfg.getfloat("data", "m", 0.0) or 0.0)
+    return problem
 
 
 def output_dir(cfg, override=None):
@@ -243,10 +251,10 @@ def output_dir(cfg, override=None):
     configured = cfg.get("output", "dir", "out")
     if root:
         return os.path.join(root, os.path.basename(configured))
-    return _resolve(configured, cfg.path)
+    return resolve_path(configured, cfg.path)
 
 
-def _resolve(path, config_path):
+def resolve_path(path, config_path):
     if os.path.isabs(path):
         return path
     base = os.path.dirname(config_path) if config_path else "."

@@ -4,9 +4,10 @@ import shutil
 
 import pytest
 
-from damflow import cli
+from damflow import DamGeometry, build_grid, cli, hydrostatic_profile
 from damflow.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
                          EXIT_SOLVER, EXIT_VALIDATION, main)
+from damflow.io import write_solution_csv
 
 STATIONARY = """
 [run]
@@ -167,15 +168,57 @@ def test_compare_incomplete_run_exit_3(tmp_path, capsys):
     partial = tmp_path / "partial"
     shutil.copytree(out, partial)
     os.remove(partial / "snapshot_00001.csv")
+    corrupt = {}
+    for name in ("summary.json", "trajectory.json"):
+        corrupt[name] = tmp_path / f"corrupt_{name}"
+        shutil.copytree(out, corrupt[name])
+        (corrupt[name] / name).write_text("{")
     report_path = str(tmp_path / "cmp.json")
     for other, missing in ((tmp_path / "absent", "summary.json"),
-                           (partial, "snapshot_00001.csv")):
+                           (partial, "snapshot_00001.csv"),
+                           (corrupt["summary.json"], "summary.json"),
+                           (corrupt["trajectory.json"], "trajectory.json")):
         capsys.readouterr()
         assert main(["compare", out, str(other), "--out", report_path]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and err.count("\n") == 1
         assert missing in err
     assert not os.path.exists(report_path)
+
+
+def test_compare_runs_with_relative_csv_paths(tmp_path):
+    # the configs name their CSVs relative to themselves (one through an
+    # escaped "%"); each run directory's config.ini must still find them
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    grid = build_grid(DamGeometry(1.0, 1.0), 16, 16)
+    X1, X2 = grid.coords()
+    rows = [f"{x1},{x2},1.0,0.0,2.0" for x1, x2 in zip(X1.ravel(), X2.ravel())]
+    (cfg_dir / "perm%1.csv").write_text("\n".join(["x1,x2,a11,a12,a22"] + rows) + "\n")
+    write_solution_csv(str(cfg_dir / "init.csv"), grid, hydrostatic_profile(0.5, grid))
+    text = UNSTEADY.replace("phi = barrier-lower\neps0 = 0.2\ninitial = stationary-lower",
+                            "phi = hydrostatic\nk = 0.5\ninitial = csv\ninitial_csv = init.csv") \
+        + "\n[permeability]\nkind = csv\ncsv = perm%%1.csv\n"
+    runs = []
+    for name in ("a", "b"):
+        cfg, out = _config(cfg_dir, text, name=f"{name}.ini", outname=f"out_{name}")
+        assert main(["run", cfg]) == EXIT_OK
+        stored = open(os.path.join(out, "config.ini")).read()
+        assert f"csv = {cfg_dir / 'perm%%1.csv'}" in stored
+        assert f"initial_csv = {cfg_dir / 'init.csv'}" in stored
+        runs.append(out)
+    assert main(["compare", *runs, "--out", str(tmp_path / "cmp.json")]) == EXIT_OK
+
+
+def test_sweep_follows_the_config_mode(tmp_path):
+    cfg, out = _config(tmp_path, UNSTEADY.replace("mode = unsteady", "mode = certify"))
+    assert main(["sweep", cfg, "--param", "penalty.eps", "--values", "5e-2", "4e-2"]) == EXIT_OK
+    summary = json.load(open(os.path.join(out, "sweep_summary.json")))
+    assert len(summary["results"]) == 2
+    for r in summary["results"]:
+        assert r["exit"] == EXIT_OK and r["complementarity_max"] is None
+        assert os.path.exists(os.path.join(r["dir"], "certificate.json"))
+        assert json.load(open(os.path.join(r["dir"], "summary.json")))["mode"] == "certify"
 
 
 def test_sweep_runs_each_value(tmp_path):

@@ -1,8 +1,10 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
+from damflow import stationary
 from damflow.config import (ConfigError, build_problem, load_config, output_dir)
 
 
@@ -84,6 +86,25 @@ def test_barrier_head_preset(tmp_path):
     # the stationary-upper initial pair is an admissible (u, chi) field
     assert np.min(problem.data.u0) >= 0.0
     assert np.max(problem.data.chi0) <= 1.0
+
+
+def test_tol_newton_reaches_the_barrier_solves(tmp_path, monkeypatch):
+    seen = []
+    solve_stationary = stationary.solve_stationary
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("tol_newton"))
+        return solve_stationary(*args, **kwargs)
+
+    monkeypatch.setattr(stationary, "solve_stationary", spy)
+    text = BASE.replace("phi = hydrostatic\nk = 0.5",
+                        "phi = barrier-upper\neps0 = 0.2\ninitial = midpoint") \
+        + "\n[solver]\ntol_newton = 1e-7\n"
+    problem = build_problem(load_config(_write(tmp_path, text)))
+    assert seen == [1e-7, 1e-7]
+    # both barriers are kept, also by a copy with another method
+    assert dataclasses.replace(problem, method="picard").barrier(1) is problem.barrier(1)
+    assert len(seen) == 2
 
 
 def test_unknown_solver_method_rejected(tmp_path):

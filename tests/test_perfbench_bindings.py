@@ -114,6 +114,34 @@ def test_span_recorder_sees_cli_artifact_round_trip(tmp_path):
     assert rec.counts[rec.run]["io.csv_read.bytes"] > 0
 
 
+def test_each_barrier_is_solved_once_per_run_and_never_by_compare(tmp_path):
+    barrier_run = TINY_RUN.replace("phi = hydrostatic\nk = 0.5",
+                                   "phi = barrier-upper\neps0 = 0.2\ninitial = stationary-upper")
+    configs = {}
+    for mode in ("certify", "unsteady"):
+        configs[mode] = tmp_path / f"{mode}.ini"
+        configs[mode].write_text(barrier_run.replace("mode = unsteady", f"mode = {mode}")
+                                 .replace("dir = run", f"dir = {mode}"))
+    rec = spans.SpanRecorder()
+    patcher = spans.instrument(rec)
+
+    def solves(argv):
+        start = len(rec.spans)
+        assert cli.main(argv) == cli.EXIT_OK
+        return sum(span[0] == "stationary.solve" for span in rec.spans[start:])
+
+    try:
+        # the upper barrier is the initial data and the projection barrier of
+        # both the Newton and the Picard trajectory
+        assert solves(["run", str(configs["certify"])]) == 1
+        assert solves(["run", str(configs["unsteady"])]) == 1
+        run_dir = str(tmp_path / "unsteady")
+        assert solves(["compare", run_dir, run_dir,
+                       "--out", str(tmp_path / "report.json")]) == 0
+    finally:
+        patcher.restore()
+
+
 def test_step_clock_times_iterations_and_steps():
     clock = spans.StepClock(per_iteration=True)
     patcher = clock.install()
