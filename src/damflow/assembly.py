@@ -5,6 +5,8 @@ permeability tensor sampled at quadrature points; it serves both the forward
 (penalized) solves and the dual solves of the certificate.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -56,16 +58,35 @@ class Q1Assembler:
         self.a11 = np.broadcast_to(a11, self.xq.shape)
         self.a12 = np.broadcast_to(a12, self.xq.shape)
         self.a22 = np.broadcast_to(a22, self.xq.shape)
+        # fields aligned with the axes skip the a12 terms of the gravity Jacobian
+        self.has_a12 = bool(np.any(self.a12 != 0.0))
+
+        # the nine-point CSR pattern every Q1 matrix shares, and the slot
+        # slot[c, m, n] of entry (conn[c, m], conn[c, n]) in its data array
+        n = grid.n_nodes
+        keys = (self.conn[:, :, None] * n + self.conn[:, None, :]).ravel()
+        pattern, slot = np.unique(keys, return_inverse=True)
+        rows, cols = np.divmod(pattern, n)
+        self.indices = cols.astype(np.int32)
+        self.indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+        self.slot = slot.reshape(self.conn.shape + (4,))
+        self.diag_slot = np.flatnonzero(rows == cols)
 
         self._stiffness = None
         self._mass = None
 
-    def _scatter_matrix(self, local):
-        """Assemble (ncells, 4, 4) element blocks into a CSR matrix."""
+    def pattern_matrix(self, data):
+        """CSR matrix on the Q1 pattern with the given data array."""
         n = self.grid.n_nodes
-        rows = np.repeat(self.conn, 4, axis=1).ravel()
-        cols = np.tile(self.conn, (1, 4)).ravel()
-        return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def _scatter_matrix(self, local, cells=None):
+        """Assemble (ncells, 4, 4) element blocks, or the blocks of the listed
+        cells only, onto the Q1 pattern."""
+        slot = self.slot if cells is None else self.slot[cells]
+        # an empty cell list makes bincount return integers
+        data = np.bincount(slot.ravel(), weights=local.ravel(), minlength=self.indices.size)
+        return self.pattern_matrix(data.astype(float, copy=False))
 
     def stiffness(self):
         """Global matrix of ``integral a(x) grad(phi_n) . grad(phi_m)``."""
@@ -102,10 +123,18 @@ class Q1Assembler:
         return out
 
     def gravity_jacobian(self, dchi_q):
-        """Matrix ``integral dchi phi_n (a e) . grad(phi_m)``; asymmetric."""
-        local = np.einsum("cq,qm,qn->cmn", self.wq[None, :] * dchi_q * self.a12, self.gx, self.N)
-        local += np.einsum("cq,qm,qn->cmn", self.wq[None, :] * dchi_q * self.a22, self.gy, self.N)
-        return self._scatter_matrix(local)
+        """Matrix ``integral dchi phi_n (a e) . grad(phi_m)``; asymmetric.
+
+        Only cells with a quadrature point where dchi is nonzero (the ramp
+        band, kinks included) contribute; the matrix carries the full Q1
+        pattern.
+        """
+        cells = np.flatnonzero(np.any(dchi_q != 0.0, axis=1))
+        w = self.wq[None, :] * dchi_q[cells]
+        local = np.einsum("cq,qm,qn->cmn", w * self.a22[cells], self.gy, self.N)
+        if self.has_a12:
+            local = np.einsum("cq,qm,qn->cmn", w * self.a12[cells], self.gx, self.N) + local
+        return self._scatter_matrix(local, cells)
 
     def energy(self, v_flat):
         """Quadrature of a grad(v).grad(v); equals v . (A v) by construction."""
@@ -117,9 +146,19 @@ class Q1Assembler:
 
 
 def apply_dirichlet_matrix(A, dirichlet_flat):
-    """Replace Dirichlet rows by identity rows (CSR, in a copy)."""
-    d = np.asarray(dirichlet_flat, dtype=float)
-    return (sp.diags(1.0 - d) @ A + sp.diags(d)).tocsr()
+    """Replace Dirichlet rows by identity rows, in a copy on A's CSR pattern.
+
+    Each constrained row must store its diagonal entry, as every matrix on
+    the Q1 pattern does.
+    """
+    mask = np.asarray(dirichlet_flat, dtype=bool)
+    A = A.tocsr()
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    pinned = mask[rows]
+    diag = pinned & (A.indices == rows)
+    if np.count_nonzero(diag) != np.count_nonzero(mask):
+        raise InvalidArgument("a Dirichlet row stores no diagonal entry")
+    return sp.csr_matrix((np.where(pinned, diag, A.data), A.indices, A.indptr), shape=A.shape)
 
 
 def apply_dirichlet_system(A, dirichlet_flat, values, rhs):
@@ -133,21 +172,37 @@ def apply_dirichlet_system(A, dirichlet_flat, values, rhs):
     free = 1.0 - mask
     x = np.where(mask, values, 0.0)
     rhs = free * (rhs - A @ x) + x
-    return apply_dirichlet_matrix(A @ sp.diags(free), mask), rhs
+    A = A.tocsr()
+    cols_free = sp.csr_matrix((A.data * free[A.indices], A.indices, A.indptr), shape=A.shape)
+    return apply_dirichlet_matrix(cols_free, mask), rhs
 
 
 class LinearSolver:
-    """Krylov solve with diagonal preconditioning, sparse-LU fallback.
+    """Krylov solve with diagonal preconditioning and a sparse-LU rescue.
 
-    Conjugate gradients for symmetric matrices, BiCGStab otherwise; any
-    nonconvergence falls back to a direct factorization so callers always
-    get a tight solve.
+    Conjugate gradients for symmetric matrices, BiCGStab otherwise, to the
+    tolerance ``max(rtol * |b|, atol)``.  A Krylov failure falls back to a
+    direct factorization (counted in ``fallbacks``) unless ``rescue`` is
+    off; then ``solve`` returns None.  Newton's iteration sets ``rtol``,
+    ``atol`` and ``rescue`` per step through ``tolerance``.
     """
 
     def __init__(self, rtol=1e-10, maxiter=5000):
         self.rtol = rtol
+        self.atol = 0.0
+        self.rescue = True
         self.maxiter = maxiter
         self.fallbacks = 0
+
+    @contextmanager
+    def tolerance(self, rtol, atol=0.0, rescue=True):
+        """Solve with these settings inside the block, then restore the old ones."""
+        saved = self.rtol, self.atol, self.rescue
+        self.rtol, self.atol, self.rescue = rtol, atol, rescue
+        try:
+            yield self
+        finally:
+            self.rtol, self.atol, self.rescue = saved
 
     def solve(self, A, b, symmetric):
         bnorm = np.linalg.norm(b)
@@ -157,12 +212,10 @@ class LinearSolver:
         d = np.where(np.abs(d) > 0, d, 1.0)
         M = spla.LinearOperator(A.shape, matvec=lambda x: x / d)
         method = spla.cg if symmetric else spla.bicgstab
-        x, info = method(A, b, rtol=self.rtol, atol=0.0, maxiter=self.maxiter, M=M)
+        x, info = method(A, b, rtol=self.rtol, atol=self.atol, maxiter=self.maxiter, M=M)
         if info != 0 or not np.all(np.isfinite(x)):
+            if not self.rescue:
+                return None
             self.fallbacks += 1
             x = spla.splu(A.tocsc()).solve(b)
         return x
-
-
-def solve_direct(A, b):
-    return spla.splu(sp.csc_matrix(A)).solve(b)

@@ -134,7 +134,8 @@ def _write_trajectory(problem, traj, out):
             written.append({"file": name, "time": snap.time})
     diag = [{"time": d.time, "newton_iters": d.newton_iters, "residual_norm": d.residual_norm,
              "mass_balance_rel": d.mass_balance_rel, "boundary_inflow": d.boundary_inflow,
-             "method": d.method, "dt_halvings": d.dt_halvings} for d in traj.diagnostics]
+             "method": d.method, "dt_halvings": d.dt_halvings,
+             "linear_fallbacks": d.linear_fallbacks} for d in traj.diagnostics]
     write_json(os.path.join(out, "trajectory.json"),
                {"times": list(traj.times), "snapshots": written, "diagnostics": diag})
     return diag
@@ -190,9 +191,15 @@ def load_run(run_dir):
 
     summary = artifact("summary.json", read_json)
     traj_meta = artifact("trajectory.json", read_json)
+    entries = traj_meta.get("snapshots") if isinstance(traj_meta, dict) else None
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("file"), str)
+            and isinstance(e.get("time"), (int, float)) for e in entries):
+        raise IncompatibleRuns(f"run directory {run_dir} has a trajectory.json without a "
+                               "list of snapshots, each with a file and a time")
     problem = pose_problem(load_config(artifact("config.ini")))
     snaps = [load_solution_csv(artifact(entry["file"]), problem.grid, time=entry["time"])
-             for entry in traj_meta["snapshots"]]
+             for entry in entries]
     traj = Trajectory(times=[s.time for s in snaps], snapshots=snaps)
     return summary, problem, traj
 

@@ -68,11 +68,12 @@ def load_config(path):
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         read = parser.read(path)
+        # values are interpolated here, so a lone "%" fails in this block
+        raw = {s: dict(parser.items(s)) for s in parser.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    raw = {s: dict(parser.items(s)) for s in parser.sections()}
     mode = raw.get("run", {}).get("mode", "stationary").strip()
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")

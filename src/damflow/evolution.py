@@ -50,6 +50,7 @@ class StepDiagnostics:
     boundary_inflow: float
     method: str
     dt_halvings: int = 0
+    linear_fallbacks: int = 0
 
 
 @dataclass
@@ -144,6 +145,7 @@ def step(state, config, field, grid, tags, phi, stepper=None):
 
     dt = config.dt
     halvings = 0
+    fallbacks = stepper.linsolver.fallbacks
     while True:
         try:
             u = u_flat
@@ -177,7 +179,8 @@ def step(state, config, field, grid, tags, phi, stepper=None):
                         time=state.time + config.dt)
     diag = StepDiagnostics(time=new.time, newton_iters=stats.iters,
                            residual_norm=stats.residual_norm, mass_balance_rel=mass_rel,
-                           boundary_inflow=inflow, method=stats.method, dt_halvings=halvings)
+                           boundary_inflow=inflow, method=stats.method, dt_halvings=halvings,
+                           linear_fallbacks=stepper.linsolver.fallbacks - fallbacks)
     return new, diag
 
 

@@ -3,9 +3,11 @@
 The penalized residuals are piecewise linear in the unknown, so Newton with
 a halving line search converges fast away from the ramp kinks; the relaxed
 Picard iteration (penalty terms frozen at the previous iterate) is the
-globally stable fallback.  Converged iterates are polished towards machine
-precision while progress lasts, which keeps fixed points of the time
-stepper and the per-step mass ledger tight.
+globally stable fallback.  Newton's linear solves are inexact, with
+Eisenstat-Walker forcing terms.  Converged iterates are polished towards
+machine precision while progress lasts, which keeps fixed points of the
+time stepper and the per-step mass ledger tight; a polish step whose Krylov
+solve breaks down ends the polish instead of factoring the Jacobian.
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,10 @@ MAX_HALVINGS = 8
 PICARD_RELAX = 0.7
 PICARD_MAX_ITERS = 500
 POLISH_FLOOR = 5e-14
+# Newton solves J d = -r to the relative tolerance
+# min(FORCING_MAX, FORCING_GAMMA (|r_k| / |r_k-1|)^2)
+FORCING_MAX = 1e-4
+FORCING_GAMMA = 0.9
 
 
 @dataclass
@@ -77,14 +83,30 @@ def newton_picard_solve(v0, residual_fn, jacobian_fn, picard_fn, linsolver,
     return v, pstats
 
 
+def _forcing(rn, rn_last):
+    """Eisenstat-Walker forcing term: the relative tolerance of a Newton solve."""
+    if rn_last is None:
+        return FORCING_MAX
+    return min(FORCING_MAX, FORCING_GAMMA * (rn / rn_last) ** 2)
+
+
 def _newton(v, r, r0n, residual_fn, jacobian_fn, linsolver, target, floor, max_iters):
-    rn = r0n
+    rn, rn_last = r0n, None
     ls_failures = 0
     it = 0
     while it < max_iters and rn > floor:
-        rn_prev = rn
         J = jacobian_fn(v)
-        delta = linsolver.solve(J, -r, symmetric=False)
+        if rn <= target:
+            # polish step: aim at the floor, and stop polishing if the Krylov
+            # solve breaks down, since the iterate is inside the target
+            settings = {"rtol": 0.0, "atol": 0.1 * floor, "rescue": False}
+        else:
+            settings = {"rtol": _forcing(rn, rn_last)}
+        with linsolver.tolerance(**settings):
+            delta = linsolver.solve(J, -r, symmetric=False)
+        it += 1
+        if delta is None:
+            break
         step = 1.0
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
@@ -92,16 +114,16 @@ def _newton(v, r, r0n, residual_fn, jacobian_fn, linsolver, target, floor, max_i
             r_try = residual_fn(v_try)
             rn_try = float(np.linalg.norm(r_try))
             if rn_try < rn:
+                rn_last = rn
                 v, r, rn = v_try, r_try, rn_try
                 accepted = True
                 break
             step *= 0.5
-        it += 1
         if not accepted:
             ls_failures += 1
             break
         # past the requested tolerance, polish only while converging fast
-        if rn <= target and rn > 0.2 * rn_prev:
+        if rn <= target and rn > 0.2 * rn_last:
             break
     return v, SolveStats(it, rn, r0n, "newton", ls_failures)
 

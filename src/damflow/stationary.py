@@ -8,7 +8,6 @@ there; the impervious bottom carries the natural no-flux condition.
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (LinearSolver, Q1Assembler, apply_dirichlet_matrix,
                        apply_dirichlet_system)
@@ -81,13 +80,22 @@ class DamOperator:
         r[self.pinned] = u[self.pinned] - self.values[self.pinned]
         return r
 
+    def _stiffness_plus(self, d):
+        """Stiffness plus diag(d) on the Q1 pattern; the stiffness if d is None."""
+        K = self.asm.stiffness()
+        if d is None:
+            return K
+        data = K.data.copy()
+        data[self.asm.diag_slot] += d
+        return self.asm.pattern_matrix(data)
+
     def jacobian(self, u):
         """Generalized derivative of ``residual``; identity rows where pinned."""
-        J = self.asm.stiffness()
-        if self.mlump is not None:
-            J = sp.diags(self._storage_slope(u)) + J
+        slope = None if self.mlump is None else self._storage_slope(u)
         dchi = heaviside_eps_derivative(self.asm.interp_at_quad(u), self.penalty.eps)
-        return apply_dirichlet_matrix(J + self.asm.gravity_jacobian(dchi), self.pinned)
+        J = self.asm.gravity_jacobian(dchi)
+        J.data += self._stiffness_plus(slope).data
+        return apply_dirichlet_matrix(J, self.pinned)
 
     def picard(self, u):
         """Frozen-saturation system (D + A) w = D u - storage(u) - gravity(u).
@@ -95,12 +103,12 @@ class DamOperator:
         D is the storage slope at u (no storage: D = 0), so the matrix is
         symmetric and the pinned nodes are eliminated symmetrically for CG.
         """
-        A, rhs = self.asm.stiffness(), -self._gravity(u)
+        rhs = -self._gravity(u)
+        D = None
         if self.mlump is not None:
             D = self._storage_slope(u)
-            A = (sp.diags(D) + A).tocsr()
             rhs = D * u - self._storage(u) + rhs
-        return apply_dirichlet_system(A, self.pinned, self.values, rhs)
+        return apply_dirichlet_system(self._stiffness_plus(D), self.pinned, self.values, rhs)
 
 
 def assemble_stationary_residual(v, field, grid, tags, config, n_gauss=2):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from damflow import DamGeometry, build_grid, identity_field, layered_field
+from damflow import (DamGeometry, PenaltyConfig, build_grid, classify_boundary,
+                     constant_anisotropic_field, hydrostatic_head, identity_field, layered_field)
 from damflow.assembly import (LinearSolver, Q1Assembler, apply_dirichlet_matrix,
-                              apply_dirichlet_system, solve_direct, _gauss_1d)
+                              apply_dirichlet_system, _gauss_1d)
 from damflow.errors import InvalidArgument
+from damflow.penalty import g_eps_derivative, heaviside_eps_derivative
+from damflow.stationary import DamOperator
 
 
 def _setup(nx=6, ny=4, field_maker=identity_field, L=1.5, K=1.0):
@@ -131,10 +135,10 @@ def test_symmetric_elimination_same_solution_as_row_replacement():
     A_rows = apply_dirichlet_matrix(A, mask)
     b_rows = rhs.copy()
     b_rows[mask] = vals[mask]
-    x_ref = solve_direct(A_rows, b_rows)
+    x_ref = spla.splu(A_rows.tocsc()).solve(b_rows)
 
     A_sym, b_sym = apply_dirichlet_system(A, mask, vals, rhs)
-    x_sym = solve_direct(A_sym, b_sym)
+    x_sym = spla.splu(A_sym.tocsc()).solve(b_sym)
     np.testing.assert_allclose(x_sym, x_ref, atol=1e-11)
     assert np.max(np.abs((A_sym - A_sym.T).toarray())) < 1e-14
 
@@ -145,7 +149,80 @@ def test_linear_solver_matches_direct_and_counts_fallbacks():
     b = np.sin(np.arange(grid.n_nodes, dtype=float))
     solver = LinearSolver()
     x = solver.solve(A, b, symmetric=True)
-    np.testing.assert_allclose(x, solve_direct(A, b), atol=1e-8)
+    np.testing.assert_allclose(x, spla.splu(A.tocsc()).solve(b), atol=1e-8)
     assert solver.fallbacks == 0
     assert np.array_equal(solver.solve(A, np.zeros_like(b), symmetric=True),
                           np.zeros_like(b))
+
+
+def _coo_matrix(asm, local):
+    """Element blocks summed through COO, as the assembly did before it kept
+    a fixed pattern."""
+    n = asm.grid.n_nodes
+    rows = np.repeat(asm.conn, 4, axis=1).ravel()
+    cols = np.tile(asm.conn, (1, 4)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _full_gravity_jacobian(asm, dchi_q):
+    w = asm.wq[None, :] * dchi_q
+    local = np.einsum("cq,qm,qn->cmn", w * asm.a12, asm.gx, asm.N)
+    local += np.einsum("cq,qm,qn->cmn", w * asm.a22, asm.gy, asm.N)
+    return _coo_matrix(asm, local)
+
+
+def _ramp_problem():
+    """8x8 anisotropic (a12 != 0) grid and a pressure whose ramp band 0 < u < eps
+    covers some cells and misses others."""
+    geom = DamGeometry(1.0, 1.0)
+    grid = build_grid(geom, 8, 8)
+    asm = Q1Assembler(grid, constant_anisotropic_field(2.0, 0.25, 3.0, geom))
+    _, X2 = grid.coords()
+    rng = np.random.default_rng(3)
+    u = grid.flatten(np.maximum(0.5 - X2, 0.0)) + 0.01 * rng.standard_normal(grid.n_nodes)
+    return grid, asm, PenaltyConfig(eps=0.1, alpha=0.3), u
+
+
+def test_gravity_jacobian_on_the_band_equals_full_grid_evaluation():
+    grid, asm, pen, u = _ramp_problem()
+    dchi = heaviside_eps_derivative(asm.interp_at_quad(u), pen.eps)
+    band = np.any(dchi != 0.0, axis=1)
+    assert 0 < band.sum() < grid.n_cells
+    G = asm.gravity_jacobian(dchi)
+    assert np.array_equal(G.indptr, asm.indptr) and np.array_equal(G.indices, asm.indices)
+    np.testing.assert_array_equal(G.toarray(), _full_gravity_jacobian(asm, dchi).toarray())
+    assert G.nnz == asm.indices.size
+    assert asm.gravity_jacobian(np.zeros_like(dchi)).data.dtype == float
+
+
+@pytest.mark.parametrize("storage", [False, True])
+@pytest.mark.parametrize("extra_pins", [False, True])
+def test_fixed_pattern_jacobian_matches_the_sparse_sum(storage, extra_pins):
+    grid, asm, pen, u = _ramp_problem()
+    pinned = classify_boundary(grid, hydrostatic_head(0.5)).dirichlet_mask.ravel().copy()
+    if extra_pins:
+        pinned[[20, 21, 40]] = True
+    mlump, dt = asm.lumped_mass(), 0.01
+    op = DamOperator(asm, pen, pinned, np.zeros(grid.n_nodes),
+                     *((mlump, dt, np.zeros(grid.n_nodes)) if storage else ()))
+
+    w = asm.wq[None, :]
+    K = _coo_matrix(asm, np.einsum("cq,qm,qn->cmn", w * asm.a11, asm.gx, asm.gx)
+                    + np.einsum("cq,qm,qn->cmn", w * asm.a12, asm.gx, asm.gy)
+                    + np.einsum("cq,qm,qn->cmn", w * asm.a12, asm.gy, asm.gx)
+                    + np.einsum("cq,qm,qn->cmn", w * asm.a22, asm.gy, asm.gy))
+    J = sp.diags(mlump * g_eps_derivative(u, pen) / dt) + K if storage else K
+    J = J + _full_gravity_jacobian(asm, heaviside_eps_derivative(asm.interp_at_quad(u), pen.eps))
+    d = pinned.astype(float)
+    expected = (sp.diags(1.0 - d) @ J + sp.diags(d)).toarray()
+
+    got = op.jacobian(u).toarray()
+    ulp = np.spacing(np.maximum(np.abs(got), np.abs(expected)))
+    assert np.all(np.abs(got - expected) <= ulp)
+    np.testing.assert_array_equal(got[pinned], np.eye(grid.n_nodes)[pinned])
+
+
+def test_apply_dirichlet_matrix_needs_the_diagonal():
+    A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
+    with pytest.raises(InvalidArgument):
+        apply_dirichlet_matrix(A, np.array([True, False]))

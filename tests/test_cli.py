@@ -83,6 +83,13 @@ def test_validate_bad_config_exit_2(tmp_path):
     assert main(["validate", str(path)]) == EXIT_CONFIG
 
 
+def test_validate_lone_percent_exit_2(tmp_path, capsys):
+    # configparser interpolates values, and a lone "%" is a syntax error
+    cfg, _ = _config(tmp_path, STATIONARY, outname="a%b")
+    assert main(["validate", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_validation_failure_exit_3(tmp_path):
     # negative compressibility passes parsing but fails object validation
     cfg, _ = _config(tmp_path, STATIONARY + "\n[physics]\nalpha = -1.0\n")
@@ -108,6 +115,7 @@ def test_unsteady_run_writes_snapshots(tmp_path):
     traj = json.load(open(os.path.join(out, "trajectory.json")))
     assert len(traj["snapshots"]) == 3
     assert all(os.path.exists(os.path.join(out, s["file"])) for s in traj["snapshots"])
+    assert [d["linear_fallbacks"] for d in traj["diagnostics"]] == [0, 0]
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["mass_balance_worst"] <= 1e-10
 
@@ -173,11 +181,21 @@ def test_compare_incomplete_run_exit_3(tmp_path, capsys):
         corrupt[name] = tmp_path / f"corrupt_{name}"
         shutil.copytree(out, corrupt[name])
         (corrupt[name] / name).write_text("{")
+    # valid JSON of the wrong shape: no snapshot list, or an entry without a time
+    meta = json.load(open(os.path.join(out, "trajectory.json")))
+    del meta["snapshots"][1]["time"]
+    misshapen = []
+    for k, text in enumerate(("{}", json.dumps(meta))):
+        misshapen.append(tmp_path / f"misshapen_{k}")
+        shutil.copytree(out, misshapen[-1])
+        (misshapen[-1] / "trajectory.json").write_text(text)
     report_path = str(tmp_path / "cmp.json")
     for other, missing in ((tmp_path / "absent", "summary.json"),
                            (partial, "snapshot_00001.csv"),
                            (corrupt["summary.json"], "summary.json"),
-                           (corrupt["trajectory.json"], "trajectory.json")):
+                           (corrupt["trajectory.json"], "trajectory.json"),
+                           (misshapen[0], "trajectory.json"),
+                           (misshapen[1], "trajectory.json")):
         capsys.readouterr()
         assert main(["compare", out, str(other), "--out", report_path]) == EXIT_VALIDATION
         err = capsys.readouterr().err

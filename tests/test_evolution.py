@@ -155,3 +155,21 @@ def test_newton_and_picard_paths_agree_to_rounding():
     gap = max(float(np.max(np.abs(a.u - b.u)))
               for a, b in zip(trajs["newton"].snapshots, trajs["picard"].snapshots))
     assert gap <= 1e-13
+
+
+def test_unsteady_run_reports_no_lu_fallback():
+    """Every step of a 16x16 midpoint run reaches its polish floor or stops
+    polishing without factoring a Jacobian, and says so per step."""
+    geom, grid, tags, field, phi0, phi1, pen = _barrier_setup(n=16, eps=5e-2)
+    s0 = solve_stationary(phi0, field, grid, tags, pen)
+    s1 = solve_stationary(phi1, field, grid, classify_boundary(grid, phi1), pen)
+    u0 = 0.5 * (s0.v + s1.v)
+    from damflow.geometry import dirichlet_values
+    u0[tags.dirichlet_mask] = dirichlet_values(grid, tags, phi0)[tags.dirichlet_mask]
+    data = ProblemData(alpha=pen.alpha, T_final=0.5, eps0=0.2, phi=phi0,
+                       u0=u0, chi0=0.5 * (s0.chi + s1.chi))
+    traj = solve_unsteady(data, field, grid, tags,
+                          EvolutionConfig(dt=0.01, n_steps=50, penalty=pen), v1eps=s1)
+    assert [d.linear_fallbacks for d in traj.diagnostics] == [0] * 50
+    assert s0.diagnostics["linear_fallbacks"] == s1.diagnostics["linear_fallbacks"] == 0
+    assert max(d.mass_balance_rel for d in traj.diagnostics) <= 1e-10

@@ -59,3 +59,45 @@ def test_unsolvable_system_raises():
     with pytest.raises(NonConvergence):
         newton_picard_solve(np.zeros(n), residual, jacobian, picard, LinearSolver(),
                             max_iters=5)
+
+
+def test_polish_breakdown_ends_the_polish_without_lu(monkeypatch):
+    """A polish step (residual inside the target) whose Krylov solve breaks
+    down is dropped: no LU factorization, no line-search failure."""
+    from damflow import assembly
+    bicgstab = assembly.spla.bicgstab
+    polish_calls = []
+
+    def breaks_down_in_polish(A, b, rtol, atol, **kwargs):
+        if rtol == 0.0:  # only polish solves run on an absolute tolerance
+            polish_calls.append(atol)
+            return np.full_like(b, np.nan), -10
+        return bicgstab(A, b, rtol=rtol, atol=atol, **kwargs)
+
+    monkeypatch.setattr(assembly.spla, "bicgstab", breaks_down_in_polish)
+    n = 20
+    residual, jacobian, picard = _fixed_point_fns(n)
+    solver = LinearSolver()
+    v, stats = newton_picard_solve(np.linspace(0.0, 1.5, n), residual, jacobian, picard,
+                                   solver)
+    assert polish_calls
+    assert solver.fallbacks == 0
+    assert stats.method == "newton" and stats.line_search_failures == 0
+    assert stats.residual_norm <= 1e-9 * (1.0 + stats.initial_residual_norm)
+    assert np.linalg.norm(residual(v)) == stats.residual_norm
+    # Newton's per-step settings do not outlive the solve
+    assert (solver.rtol, solver.atol, solver.rescue) == (1e-10, 0.0, True)
+
+
+def test_krylov_failure_outside_the_polish_is_rescued_by_lu(monkeypatch):
+    from damflow import assembly
+    monkeypatch.setattr(assembly.spla, "bicgstab",
+                        lambda A, b, **kwargs: (np.zeros_like(b), -10))
+    n = 20
+    residual, jacobian, picard = _fixed_point_fns(n)
+    solver = LinearSolver()
+    v, stats = newton_picard_solve(np.linspace(0.0, 1.5, n), residual, jacobian, picard,
+                                   solver)
+    np.testing.assert_allclose(v, _STAR, atol=1e-9)
+    # every Newton step before the target needed the factorization
+    assert 0 < solver.fallbacks <= stats.iters
