@@ -17,10 +17,64 @@ from .errors import InvalidArgument
 _REF_NODES = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
 
 
+# position of local node n relative to local node m, as the offset index
+# 3 (dj + 1) + (di + 1) of _nine_point_pattern
+_LOCAL_DI, _LOCAL_DJ = ((_REF_NODES.T + 1.0) / 2.0).astype(int)
+_LOCAL_OFFSET = (3 * (_LOCAL_DJ[None, :] - _LOCAL_DJ[:, None] + 1)
+                 + _LOCAL_DI[None, :] - _LOCAL_DI[:, None] + 1)
+
+# Krylov solves of at least this many unknowns are preconditioned by the
+# two-grid cycle; smaller ones by Jacobi, which is cheaper there
+TWO_GRID_MIN_N = 6000
+TWO_GRID_OMEGA = 0.7
+
+
 def _gauss_1d(n):
     if n < 1:
         raise InvalidArgument(f"unsupported Gauss order {n}")
     return np.polynomial.legendre.leggauss(n)
+
+
+def _nine_point_pattern(nx, ny):
+    """CSR pattern of the Q1 matrices on an nx x ny cell grid.
+
+    Node (i, j) couples with every grid node (i + di, j + dj), |di|, |dj| <= 1.
+    Offsets ordered by (dj, di) are increasing flat offsets, so each row's
+    columns come out sorted.  Returns (indices, indptr, pos), where
+    pos[node, 3 (dj + 1) + di + 1] is the data position of that entry
+    (meaningless where the neighbour lies outside the grid).
+    """
+    nxp, nyp = nx + 1, ny + 1
+    d = np.array([-1, 0, 1])
+
+    def inside(n):
+        """(n + 1, 3): whether node k + d of a line of n cells exists."""
+        k = np.arange(n + 1)[:, None] + d
+        return (k >= 0) & (k <= n)
+
+    valid = (inside(ny)[:, None, :, None] & inside(nx)[None, :, None, :]).reshape(nxp * nyp, 9)
+    offsets = (d[:, None] * nxp + d[None, :]).ravel().astype(np.int32)
+    nodes = np.arange(nxp * nyp, dtype=np.int32)
+    indices = (nodes[:, None] + offsets)[valid]
+    indptr = np.zeros(nodes.size + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(valid, axis=1), out=indptr[1:])
+    # positions stay intp: np.bincount scatters int32 slots several times slower
+    pos = (np.cumsum(valid.ravel()) - 1).reshape(valid.shape)
+    return indices, indptr, pos
+
+
+def _line_prolongation(n):
+    """Linear interpolation onto the n + 1 nodes of a line of n cells from its
+    nodes 0, 2, 4, ... and n, so odd n keeps its last node."""
+    coarse = np.unique(np.append(np.arange(0, n + 1, 2), n))
+    fine = np.arange(n + 1)
+    k = np.minimum(np.searchsorted(coarse, fine, side="right") - 1, coarse.size - 2)
+    t = (fine - coarse[k]) / (coarse[k + 1] - coarse[k])
+    P = sp.csr_matrix((np.concatenate([1.0 - t, t]),
+                       (np.concatenate([fine, fine]), np.concatenate([k, k + 1]))),
+                      shape=(n + 1, coarse.size))
+    P.eliminate_zeros()
+    return P
 
 
 class Q1Assembler:
@@ -63,17 +117,21 @@ class Q1Assembler:
 
         # the nine-point CSR pattern every Q1 matrix shares, and the slot
         # slot[c, m, n] of entry (conn[c, m], conn[c, n]) in its data array
-        n = grid.n_nodes
-        keys = (self.conn[:, :, None] * n + self.conn[:, None, :]).ravel()
-        pattern, slot = np.unique(keys, return_inverse=True)
-        rows, cols = np.divmod(pattern, n)
-        self.indices = cols.astype(np.int32)
-        self.indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
-        self.slot = slot.reshape(self.conn.shape + (4,))
-        self.diag_slot = np.flatnonzero(rows == cols)
+        self.indices, self.indptr, pos = _nine_point_pattern(grid.nx, grid.ny)
+        self.slot = pos[self.conn[:, :, None], _LOCAL_OFFSET[None, :, :]]
+        self.diag_slot = pos[:, 4].copy()
 
         self._stiffness = None
         self._mass = None
+        self._prolongation = None
+
+    def prolongation(self):
+        """Bilinear interpolation from the 2h grid (every other node line, the
+        last line kept) to this grid: kron(P_y, P_x) on the flat node order."""
+        if self._prolongation is None:
+            self._prolongation = sp.kron(_line_prolongation(self.grid.ny),
+                                         _line_prolongation(self.grid.nx), format="csr")
+        return self._prolongation
 
     def pattern_matrix(self, data):
         """CSR matrix on the Q1 pattern with the given data array."""
@@ -177,22 +235,53 @@ def apply_dirichlet_system(A, dirichlet_flat, values, rhs):
     return apply_dirichlet_matrix(cols_free, mask), rhs
 
 
+def _diagonal(A):
+    """A's diagonal with zeros replaced by ones, for Jacobi scaling."""
+    d = A.diagonal()
+    return np.where(np.abs(d) > 0, d, 1.0)
+
+
+def two_grid_preconditioner(A, P, R):
+    """One symmetric two-grid V(1,1) cycle for A as a LinearOperator.
+
+    Damped Jacobi, the coarse correction P (R A P)^-1 R with the Galerkin
+    operator R A P factored once here, then damped Jacobi again.  With
+    R = P^T the cycle is symmetric whenever A is, so it also serves CG.
+    """
+    w = TWO_GRID_OMEGA / _diagonal(A)
+    coarse = spla.splu((R @ (A @ P)).tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+    def cycle(r):
+        x = w * r
+        x += P @ coarse.solve(R @ (r - A @ x))
+        x += w * (r - A @ x)
+        return x
+
+    return spla.LinearOperator(A.shape, matvec=cycle, dtype=float)
+
+
 class LinearSolver:
-    """Krylov solve with diagonal preconditioning and a sparse-LU rescue.
+    """Preconditioned Krylov solve with a sparse-LU rescue.
 
     Conjugate gradients for symmetric matrices, BiCGStab otherwise, to the
-    tolerance ``max(rtol * |b|, atol)``.  A Krylov failure falls back to a
-    direct factorization (counted in ``fallbacks``) unless ``rescue`` is
-    off; then ``solve`` returns None.  Newton's iteration sets ``rtol``,
-    ``atol`` and ``rescue`` per step through ``tolerance``.
+    tolerance ``max(rtol * |b|, atol)``.  Systems of at least
+    ``TWO_GRID_MIN_N`` unknowns are preconditioned by the two-grid cycle on
+    ``prolongation`` (when given), smaller ones by Jacobi.  The Krylov
+    method sees b / |b|, since scipy's breakdown thresholds are absolute.
+    A Krylov failure falls back to a direct factorization (counted in
+    ``fallbacks``) unless ``rescue`` is off; then ``solve`` returns None.
+    Newton's iteration sets ``rtol``, ``atol`` and ``rescue`` per step
+    through ``tolerance``.
     """
 
-    def __init__(self, rtol=1e-10, maxiter=5000):
+    def __init__(self, rtol=1e-10, maxiter=5000, prolongation=None):
         self.rtol = rtol
         self.atol = 0.0
         self.rescue = True
         self.maxiter = maxiter
         self.fallbacks = 0
+        self.prolongation = prolongation
+        self.restriction = None if prolongation is None else prolongation.T.tocsr()
 
     @contextmanager
     def tolerance(self, rtol, atol=0.0, rescue=True):
@@ -204,15 +293,20 @@ class LinearSolver:
         finally:
             self.rtol, self.atol, self.rescue = saved
 
+    def _preconditioner(self, A):
+        if self.prolongation is not None and A.shape[0] >= TWO_GRID_MIN_N:
+            return two_grid_preconditioner(A, self.prolongation, self.restriction)
+        d = _diagonal(A)
+        return spla.LinearOperator(A.shape, matvec=lambda x: x / d, dtype=float)
+
     def solve(self, A, b, symmetric):
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros_like(b)
-        d = A.diagonal()
-        d = np.where(np.abs(d) > 0, d, 1.0)
-        M = spla.LinearOperator(A.shape, matvec=lambda x: x / d)
         method = spla.cg if symmetric else spla.bicgstab
-        x, info = method(A, b, rtol=self.rtol, atol=self.atol, maxiter=self.maxiter, M=M)
+        x, info = method(A, b / bnorm, rtol=self.rtol, atol=self.atol / bnorm,
+                         maxiter=self.maxiter, M=self._preconditioner(A))
+        x = x * bnorm
         if info != 0 or not np.all(np.isfinite(x)):
             if not self.rescue:
                 return None

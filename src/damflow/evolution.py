@@ -96,7 +96,7 @@ class _Stepper:
             else grid.flatten(phi).copy()
         self.dmask = tags.dirichlet_mask.ravel()
         self.mlump = self.asm.lumped_mass()
-        self.linsolver = LinearSolver()
+        self.linsolver = LinearSolver(prolongation=self.asm.prolongation())
 
     def advance(self, u_flat, dt, chi_old=None):
         """One backward-Euler step; returns (u_next_flat, DamOperator, SolveStats).

@@ -197,7 +197,7 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON,
     if np.any(phi_flat[dmask] < 0):
         raise InvalidArgument("boundary head must be nonnegative")
 
-    linsolver = LinearSolver()
+    linsolver = LinearSolver(prolongation=asm.prolongation())
 
     # eps ladder: start where the ramp spans ~a cell, walk down geometrically
     eps_resolved = _EPS_RESOLVED_CELLS * grid.h2

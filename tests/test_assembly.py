@@ -5,7 +5,8 @@ import scipy.sparse.linalg as spla
 
 from damflow import (DamGeometry, PenaltyConfig, build_grid, classify_boundary,
                      constant_anisotropic_field, hydrostatic_head, identity_field, layered_field)
-from damflow.assembly import (LinearSolver, Q1Assembler, apply_dirichlet_matrix,
+from damflow import assembly
+from damflow.assembly import (TWO_GRID_MIN_N, LinearSolver, Q1Assembler, apply_dirichlet_matrix,
                               apply_dirichlet_system, _gauss_1d)
 from damflow.errors import InvalidArgument
 from damflow.penalty import g_eps_derivative, heaviside_eps_derivative
@@ -153,6 +154,123 @@ def test_linear_solver_matches_direct_and_counts_fallbacks():
     assert solver.fallbacks == 0
     assert np.array_equal(solver.solve(A, np.zeros_like(b), symmetric=True),
                           np.zeros_like(b))
+
+
+def _pinned_jacobian(nx, ny):
+    """Newton Jacobian of a storage-free anisotropic ramp problem with its
+    Dirichlet rows and three extra pinned nodes."""
+    geom = DamGeometry(1.5, 1.0)
+    grid = build_grid(geom, nx, ny)
+    asm = Q1Assembler(grid, constant_anisotropic_field(2.0, 0.25, 3.0, geom))
+    _, X2 = grid.coords()
+    rng = np.random.default_rng(3)
+    u = grid.flatten(np.maximum(0.5 - X2, 0.0)) + 0.01 * rng.standard_normal(grid.n_nodes)
+    pinned = classify_boundary(grid, hydrostatic_head(0.5)).dirichlet_mask.ravel().copy()
+    pinned[[grid.n_nodes // 3, grid.n_nodes // 2, grid.n_nodes // 2 + 1]] = True
+    op = DamOperator(asm, PenaltyConfig(eps=0.1, alpha=0.3), pinned, np.zeros(grid.n_nodes))
+    return asm, op, u, rng.standard_normal(grid.n_nodes)
+
+
+def test_krylov_solve_is_scale_invariant():
+    """scipy's BiCGStab breakdown thresholds are absolute; a tiny right-hand
+    side must give the scaled solution, not a breakdown and an LU rescue."""
+    _, op, u, b = _pinned_jacobian(16, 16)
+    J = op.jacobian(u)
+    solver = LinearSolver()
+    x = solver.solve(J, b, symmetric=False)
+    x_small = solver.solve(J, 1e-14 * b, symmetric=False)
+    assert solver.fallbacks == 0
+    assert np.linalg.norm(x_small / 1e-14 - x) <= 1e-12 * np.linalg.norm(x)
+    np.testing.assert_allclose(x, spla.splu(J.tocsc()).solve(b), rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 2), (8, 8), (16, 5), (127, 63)])
+def test_nine_point_pattern_equals_the_sorted_unique_construction(nx, ny):
+    grid, asm = _setup(nx, ny)
+    n = grid.n_nodes
+    keys = (asm.conn[:, :, None] * n + asm.conn[:, None, :]).ravel()
+    pattern, slot = np.unique(keys, return_inverse=True)
+    rows, cols = np.divmod(pattern, n)
+    assert np.array_equal(asm.indices, cols)
+    assert np.array_equal(asm.indptr, np.searchsorted(rows, np.arange(n + 1)))
+    assert np.array_equal(asm.slot, slot.reshape(asm.conn.shape + (4,)))
+    assert np.array_equal(asm.diag_slot, np.flatnonzero(rows == cols))
+    assert asm.indices.dtype == np.int32 and asm.indptr.dtype == np.int32
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (5, 3), (8, 6), (9, 7)])
+def test_prolongation_reproduces_bilinear_fields(nx, ny):
+    grid, asm = _setup(nx, ny)
+    P = asm.prolongation()
+    # coarse lines: every other fine line, plus the last one
+    cx = np.unique(np.append(np.arange(0, nx + 1, 2), nx)) * grid.h1
+    cy = np.unique(np.append(np.arange(0, ny + 1, 2), ny)) * grid.h2
+    assert P.shape == (grid.n_nodes, cx.size * cy.size)
+    CX, CY = np.meshgrid(cx, cy)
+    X1, X2 = grid.coords()
+
+    def f(x, y):
+        return 2.0 - 0.5 * x + 3.0 * y + 1.25 * x * y
+
+    np.testing.assert_allclose(P @ f(CX, CY).ravel(), grid.flatten(f(X1, X2)), rtol=0,
+                               atol=1e-14)
+
+
+@pytest.fixture
+def krylov_log(monkeypatch):
+    """Records the size of each two-grid cycle built and counts Krylov iterations."""
+    log = {"two_grid": [], "iters": 0}
+    cycle = assembly.two_grid_preconditioner
+
+    def counted(A, *args, **kwargs):
+        log["two_grid"].append(A.shape[0])
+        return cycle(A, *args, **kwargs)
+
+    def counting(krylov):
+        def run(*args, **kwargs):
+            def tick(xk):
+                log["iters"] += 1
+            return krylov(*args, callback=tick, **kwargs)
+        return run
+
+    monkeypatch.setattr(assembly, "two_grid_preconditioner", counted)
+    monkeypatch.setattr(assembly.spla, "cg", counting(assembly.spla.cg))
+    monkeypatch.setattr(assembly.spla, "bicgstab", counting(assembly.spla.bicgstab))
+    return log
+
+
+# Jacobi needs ~200 (BiCGStab) and ~290 (CG) iterations on these systems
+TWO_GRID_MAX_ITERS = 25
+
+
+def test_two_grid_bicgstab_matches_splu_on_a_pinned_jacobian(krylov_log):
+    asm, op, u, b = _pinned_jacobian(96, 64)
+    assert asm.grid.n_nodes >= TWO_GRID_MIN_N
+    J = op.jacobian(u)
+    solver = LinearSolver(prolongation=asm.prolongation())
+    x = solver.solve(J, b, symmetric=False)
+    assert krylov_log["two_grid"] == [asm.grid.n_nodes] and solver.fallbacks == 0
+    assert krylov_log["iters"] <= TWO_GRID_MAX_ITERS
+    x_ref = spla.splu(J.tocsc()).solve(b)
+    assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+
+
+def test_two_grid_cg_matches_splu_on_a_picard_system(krylov_log):
+    asm, op, u, _ = _pinned_jacobian(96, 64)
+    A, rhs = op.picard(u)
+    solver = LinearSolver(prolongation=asm.prolongation())
+    x = solver.solve(A, rhs, symmetric=True)
+    assert krylov_log["two_grid"] == [asm.grid.n_nodes] and solver.fallbacks == 0
+    assert krylov_log["iters"] <= TWO_GRID_MAX_ITERS
+    x_ref = spla.splu(A.tocsc()).solve(rhs)
+    assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+
+
+def test_small_systems_keep_jacobi(krylov_log):
+    asm, op, u, b = _pinned_jacobian(16, 16)
+    solver = LinearSolver(prolongation=asm.prolongation())
+    solver.solve(op.jacobian(u), b, symmetric=False)
+    assert krylov_log["two_grid"] == [] and krylov_log["iters"] > 0
 
 
 def _coo_matrix(asm, local):

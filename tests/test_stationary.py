@@ -3,10 +3,10 @@ import pytest
 
 from damflow import (DamGeometry, InvalidArgument, PenaltyConfig, build_grid,
                      classify_boundary, hydrostatic_head, identity_field,
-                     layered_field, solve_stationary)
+                     layered_field, solve_stationary, two_reservoir_head)
 from damflow import stationary
-from damflow.assembly import Q1Assembler
-from damflow.stationary import (TOL_NEG, DamOperator, assemble_stationary_residual,
+from damflow.assembly import TWO_GRID_MIN_N, Q1Assembler
+from damflow.stationary import (TOL_NEG, TOL_NEWTON, DamOperator, assemble_stationary_residual,
                                 hydrostatic_initial_guess)
 from damflow.geometry import dirichlet_values
 from damflow.penalty import g_eps
@@ -64,6 +64,33 @@ def test_picard_method_converges():
                              method="picard")
     _, X2 = grid.coords()
     assert np.max(np.abs(solve.v - np.maximum(0.5 - X2, 0.0))) <= 1.5 * 3e-2
+
+
+def _two_reservoir_dam(eps, method="newton"):
+    """The classical two-reservoir dam (2x1, heads 0.9 and 0.2) at 128x64,
+    above the two-grid crossover."""
+    geom = DamGeometry(2.0, 1.0)
+    grid = build_grid(geom, 128, 64)
+    assert grid.n_nodes >= TWO_GRID_MIN_N
+    phi = two_reservoir_head(0.9, 0.2, geom)
+    return solve_stationary(phi, identity_field(geom), grid, classify_boundary(grid, phi),
+                            PenaltyConfig(eps=eps, alpha=0.0), method=method)
+
+
+def test_two_grid_stationary_solve_needs_no_lu_fallback():
+    # Jacobi-BiCGStab needed 3 LU factorizations on this solve
+    solve = _two_reservoir_dam(8e-3)
+    assert solve.diagnostics["clamped_nodes"] > 0
+    assert solve.diagnostics["linear_fallbacks"] == 0
+    assert float(np.min(solve.v)) >= 0.0
+
+
+def test_picard_above_the_crossover_agrees_with_newton():
+    newton = _two_reservoir_dam(1.5e-2)
+    picard = _two_reservoir_dam(1.5e-2, method="picard")
+    assert picard.method.startswith("picard")
+    assert picard.diagnostics["linear_fallbacks"] == 0
+    assert np.max(np.abs(picard.v - newton.v)) <= TOL_NEWTON
 
 
 def test_boundary_values_held_exactly():
