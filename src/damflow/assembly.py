@@ -27,6 +27,9 @@ _LOCAL_OFFSET = (3 * (_LOCAL_DJ[None, :] - _LOCAL_DJ[:, None] + 1)
 # two-grid cycle; smaller ones by Jacobi, which is cheaper there
 TWO_GRID_MIN_N = 6000
 TWO_GRID_OMEGA = 0.7
+# Krylov relative tolerance outside LinearSolver.tolerance, and iteration cap
+KRYLOV_RTOL = 1e-10
+KRYLOV_MAXITER = 5000
 
 
 def _gauss_1d(n):
@@ -274,11 +277,10 @@ class LinearSolver:
     through ``tolerance``.
     """
 
-    def __init__(self, rtol=1e-10, maxiter=5000, prolongation=None):
-        self.rtol = rtol
+    def __init__(self, prolongation=None):
+        self.rtol = KRYLOV_RTOL
         self.atol = 0.0
         self.rescue = True
-        self.maxiter = maxiter
         self.fallbacks = 0
         self.prolongation = prolongation
         self.restriction = None if prolongation is None else prolongation.T.tocsr()
@@ -305,7 +307,7 @@ class LinearSolver:
             return np.zeros_like(b)
         method = spla.cg if symmetric else spla.bicgstab
         x, info = method(A, b / bnorm, rtol=self.rtol, atol=self.atol / bnorm,
-                         maxiter=self.maxiter, M=self._preconditioner(A))
+                         maxiter=KRYLOV_MAXITER, M=self._preconditioner(A))
         x = x * bnorm
         if info != 0 or not np.all(np.isfinite(x)):
             if not self.rescue:

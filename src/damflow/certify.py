@@ -8,9 +8,10 @@ its Gronwall functional F(t).  Small sup-energy certifies that the two
 trajectories agree; the cross term w*(chi1 - chi2) must stay nonnegative.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .assembly import Q1Assembler, apply_dirichlet_matrix
 from .errors import InvalidArgument
@@ -50,29 +51,23 @@ class CertificateReport:
     passed: bool = False
 
     def as_dict(self):
-        return {"sup_E": self.sup_E, "F_final": self.F_final, "C_fit": self.C_fit,
-                "cross_term_min": self.cross_term_min, "sign_min": self.sign_min,
-                "ordering_violations": self.ordering_violations, "scale": self.scale,
-                "tol": self.tol, "passed": self.passed}
+        return asdict(self)
 
 
 class DualSolver:
     """Factorized dual solve reusing the forward assembly with v=0 on the
     pervious boundary and the natural condition on the bottom."""
 
-    def __init__(self, field, grid, tags, asm=None):
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
+    def __init__(self, field, grid, tags):
         self.grid = grid
-        self.asm = asm if asm is not None else Q1Assembler(grid, field)
+        self.asm = Q1Assembler(grid, field)
         # the whole pervious boundary is homogeneous Dirichlet, wet or dry
         self.dmask = tags.dirichlet_mask
         self.dflat = self.dmask.ravel()
         self.A = self.asm.stiffness()
         self.A_dir = apply_dirichlet_matrix(self.A, self.dflat)
         self.M = self.asm.mass()
-        self._lu = spla.splu(sp.csc_matrix(self.A_dir))
+        self._lu = spla.splu(self.A_dir.tocsc())
 
     def solve(self, eta):
         """Nodal dual potential for a nodal source; direct solve keeps the
@@ -97,11 +92,9 @@ def solve_dual(eta, field, grid, tags):
     return DualSolver(field, grid, tags).solve(eta)
 
 
-def energy(v, field, grid, asm=None):
+def energy(v, field, grid):
     """Quadrature of a grad(v).grad(v) over the rectangle."""
-    if asm is None:
-        asm = Q1Assembler(grid, field)
-    return asm.energy(grid.flatten(np.asarray(v, dtype=float)))
+    return Q1Assembler(grid, field).energy(grid.flatten(np.asarray(v, dtype=float)))
 
 
 def steklov_average(times, values, h_avg):
@@ -247,17 +240,16 @@ def _check_aligned(traj1, traj2):
         raise InvalidArgument("trajectories live on different grids")
 
 
-def gronwall_monitor(traj1, traj2, field, grid, tags, alpha, M=None,
-                     tol_unique=TOL_UNIQUE, dual=None):
+def gronwall_monitor(traj1, traj2, field, grid, tags, alpha):
     """Dual-energy monitor of the uniqueness estimate for two trajectories.
 
     Returns (EnergySeries, CertificateReport).  The certificate passes iff
-    sup_t E(t) <= tol_unique * (alpha*M + 1)^2 * |Omega|, the discrete
-    expression of "zero dual energy forces equal solutions".
+    sup_t E(t) <= TOL_UNIQUE * (alpha*M + 1)^2 * |Omega|, with M the largest
+    |u| of either trajectory: the discrete expression of "zero dual energy
+    forces equal solutions".
     """
     pairs = difference_pairs(traj1, traj2, alpha)
-    if dual is None:
-        dual = DualSolver(field, grid, tags)
+    dual = DualSolver(field, grid, tags)
 
     times = np.asarray(traj1.times, dtype=float)
     E = np.empty(times.size)
@@ -275,15 +267,14 @@ def gronwall_monitor(traj1, traj2, field, grid, tags, alpha, M=None,
     X = _cumtrapz(times, cross)
     C_fit = _fit_growth_rate(times, F)
 
-    if M is None:
-        M = max(float(np.max(np.abs(s.u))) for s in traj1.snapshots + traj2.snapshots)
+    M = max(float(np.max(np.abs(s.u))) for s in traj1.snapshots + traj2.snapshots)
     scale = (alpha * M + 1.0) ** 2 * grid.geometry.area
     sup_E = float(np.max(E))
     report = CertificateReport(
         sup_E=sup_E, F_final=float(F[-1]), C_fit=C_fit,
         cross_term_min=float(np.min(X)), sign_min=sign_min,
-        scale=scale, tol=tol_unique,
-        passed=bool(sup_E <= tol_unique * scale))
+        scale=scale, tol=TOL_UNIQUE,
+        passed=bool(sup_E <= TOL_UNIQUE * scale))
     return EnergySeries(times=times, E=E, F=F, C_fit=C_fit), report
 
 

@@ -3,7 +3,7 @@
 The flat-sectioned key-value format keeps sweep directories diff-friendly.
 Recognized sections and keys:
 
-  [run]          mode (stationary|unsteady|certify|sweep), seed
+  [run]          mode (stationary|unsteady|certify|sweep)
   [geometry]     L, K
   [grid]         nx, ny
   [permeability] kind (identity|layered|constant|csv), a11, a12, a22,
@@ -41,7 +41,6 @@ class ConfigError(DamflowError):
 @dataclass
 class RunConfig:
     mode: str
-    seed: int
     raw: dict = dc_field(repr=False, default_factory=dict)
     path: str = ""
 
@@ -77,11 +76,7 @@ def load_config(path):
     mode = raw.get("run", {}).get("mode", "stationary").strip()
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-    try:
-        seed = int(raw.get("run", {}).get("seed", "0"))
-    except ValueError as exc:
-        raise ConfigError(f"run.seed must be an integer: {exc}") from exc
-    return RunConfig(mode=mode, seed=seed, raw=raw, path=os.path.abspath(path))
+    return RunConfig(mode=mode, raw=raw, path=os.path.abspath(path))
 
 
 @dataclass
@@ -93,7 +88,6 @@ class Problem:
     stationary solve, made on first use and then kept.
     """
 
-    config: RunConfig
     geometry: DamGeometry
     grid: object
     field: object
@@ -218,7 +212,7 @@ def pose_problem(cfg):
     if method not in ("newton", "picard"):
         raise ConfigError(f"unknown solver method {method!r}")
 
-    return Problem(config=cfg, geometry=geometry, grid=grid, field=field,
+    return Problem(geometry=geometry, grid=grid, field=field,
                    tags=classify_boundary(grid, phi), phi=phi, penalty=pen,
                    assumption_report=report, dt=dt, n_steps=max(n_steps, 1), method=method,
                    tol_newton=cfg.getfloat("solver", "tol_newton", 1e-9),

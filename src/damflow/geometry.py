@@ -7,7 +7,7 @@ partitioned into wet and dry Dirichlet parts by the sign of the boundary
 head.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -93,16 +93,12 @@ class Grid:
 
 @dataclass(frozen=True)
 class BoundaryTags:
-    """Per-node boundary labels and outward normals.
+    """Per-node boundary labels.
 
     ``kind`` has shape (ny+1, nx+1) with interior nodes labeled INTERIOR.
-    ``normal`` holds the outward unit normal at boundary nodes (zeros inside);
-    at the top corners, which belong to both a lateral edge and the top edge,
-    the lateral normal is used.
     """
 
     kind: np.ndarray
-    normal: np.ndarray = field(repr=False)
 
     @property
     def boundary_mask(self):
@@ -133,21 +129,12 @@ def classify_boundary(grid, phi):
     boundary node is wet iff phi at the node is strictly positive, dry iff it
     is zero.  A negative head anywhere on the pervious boundary is rejected.
     """
-    ny1, nx1 = grid.shape
     X1, X2 = grid.coords()
     kind = np.full(grid.shape, NodeKind.INTERIOR, dtype=np.int8)
-    normal = np.zeros(grid.shape + (2,))
 
     boundary = np.zeros(grid.shape, dtype=bool)
     boundary[0, :] = boundary[-1, :] = True
     boundary[:, 0] = boundary[:, -1] = True
-
-    # lateral normals first, top overrides interior-top only, bottom last
-    normal[:, 0] = (-1.0, 0.0)
-    normal[:, -1] = (1.0, 0.0)
-    normal[-1, 1:-1] = (0.0, 1.0)
-    normal[0, :] = (0.0, -1.0)
-    normal[~boundary] = 0.0
 
     pervious = boundary.copy()
     pervious[0, :] = False
@@ -160,7 +147,7 @@ def classify_boundary(grid, phi):
 
     kind[0, :] = NodeKind.IMPERVIOUS
     kind[pervious] = np.where(head[pervious] > 0.0, NodeKind.DIRICHLET_WET, NodeKind.DIRICHLET_DRY)
-    return BoundaryTags(kind=kind, normal=normal)
+    return BoundaryTags(kind=kind)
 
 
 def dirichlet_values(grid, tags, phi):

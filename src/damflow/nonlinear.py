@@ -1,4 +1,5 @@
-"""Shared nonlinear driver: semismooth Newton with damped Picard fallback.
+"""Shared nonlinear driver: semismooth Newton and damped Picard, each the
+fallback of the other.
 
 The penalized residuals are piecewise linear in the unknown, so Newton with
 a halving line search converges fast away from the ramp kinks; the relaxed
@@ -18,6 +19,7 @@ from .errors import NonConvergence
 
 MAX_HALVINGS = 8
 PICARD_RELAX = 0.7
+NEWTON_MAX_ITERS = 50
 PICARD_MAX_ITERS = 500
 POLISH_FLOOR = 5e-14
 # Newton solves J d = -r to the relative tolerance
@@ -36,51 +38,40 @@ class SolveStats:
 
 
 def newton_picard_solve(v0, residual_fn, jacobian_fn, picard_fn, linsolver,
-                        tol_newton=1e-9, max_iters=50, method="newton"):
+                        tol_newton=1e-9, method="newton"):
     """Drive the nonlinear solve to tol_newton*(1 + initial residual norm).
 
     residual_fn(v) -> residual vector (Dirichlet rows included as v - phi);
     jacobian_fn(v) -> sparse Jacobian with identity Dirichlet rows;
     picard_fn(v) -> (symmetric matrix, rhs) of one frozen-penalty solve.
 
-    ``method`` selects the primary path ("newton" or "picard"); Newton falls
-    back to Picard on line-search failure.  Raises NonConvergence when both
-    paths miss the tolerance.
+    ``method`` selects the primary path ("newton" or "picard"); when it
+    stalls, the other path continues from where it stopped, and the method
+    reads "newton+picard" or "picard+newton".  Raises NonConvergence when
+    both paths miss the tolerance.
     """
     r = residual_fn(v0)
     r0n = float(np.linalg.norm(r))
     target = tol_newton * (1.0 + r0n)
     floor = POLISH_FLOOR * (1.0 + r0n)
 
+    paths = [(_newton, NEWTON_MAX_ITERS), (_picard, PICARD_MAX_ITERS)]
     if method == "picard":
-        v, stats = _picard(v0, r0n, residual_fn, picard_fn, linsolver, target, floor)
+        paths.reverse()
+    v, done = v0, []
+    for path, max_iters in paths:
+        v, r, stats = path(v, r, residual_fn, jacobian_fn, picard_fn, linsolver,
+                           target, floor, max_iters)
+        done.append(stats)
         if stats.residual_norm <= target:
-            return v, stats
-        # mirror fallback: finish a stalled Picard run with Newton steps
-        v, nstats = _newton(v, residual_fn(v), stats.residual_norm, residual_fn,
-                            jacobian_fn, linsolver, target, floor, max_iters)
-        nstats.iters += stats.iters
-        nstats.initial_residual_norm = r0n
-        nstats.method = "picard+newton"
-        if nstats.residual_norm > target:
-            raise NonConvergence(
-                f"Picard and Newton both stalled at residual {nstats.residual_norm:.3e} "
-                f"(target {target:.3e})", residual_norm=nstats.residual_norm)
-        return v, nstats
-
-    v, stats = _newton(v0, r, r0n, residual_fn, jacobian_fn, linsolver, target, floor, max_iters)
-    if stats.residual_norm <= target:
-        return v, stats
-    # fall back from whichever iterate Newton left us at
-    v, pstats = _picard(v, stats.residual_norm, residual_fn, picard_fn, linsolver, target, floor)
-    pstats.iters += stats.iters
-    pstats.initial_residual_norm = r0n
-    pstats.method = "newton+picard"
-    if pstats.residual_norm > target:
+            break
+    else:
         raise NonConvergence(
-            f"Newton and Picard both stalled at residual {pstats.residual_norm:.3e} "
-            f"(target {target:.3e})", residual_norm=pstats.residual_norm)
-    return v, pstats
+            f"{' and '.join(st.method.capitalize() for st in done)} both stalled at residual "
+            f"{stats.residual_norm:.3e} (target {target:.3e})", residual_norm=stats.residual_norm)
+    return v, SolveStats(sum(st.iters for st in done), stats.residual_norm, r0n,
+                         "+".join(st.method for st in done),
+                         sum(st.line_search_failures for st in done))
 
 
 def _forcing(rn, rn_last):
@@ -90,7 +81,9 @@ def _forcing(rn, rn_last):
     return min(FORCING_MAX, FORCING_GAMMA * (rn / rn_last) ** 2)
 
 
-def _newton(v, r, r0n, residual_fn, jacobian_fn, linsolver, target, floor, max_iters):
+def _newton(v, r, residual_fn, jacobian_fn, picard_fn, linsolver, target, floor, max_iters):
+    """Semismooth Newton with a halving line search; returns (v, r(v), stats)."""
+    r0n = float(np.linalg.norm(r))
     rn, rn_last = r0n, None
     ls_failures = 0
     it = 0
@@ -125,15 +118,17 @@ def _newton(v, r, r0n, residual_fn, jacobian_fn, linsolver, target, floor, max_i
         # past the requested tolerance, polish only while converging fast
         if rn <= target and rn > 0.2 * rn_last:
             break
-    return v, SolveStats(it, rn, r0n, "newton", ls_failures)
+    return v, r, SolveStats(it, rn, r0n, "newton", ls_failures)
 
 
-def _picard(v, r0n, residual_fn, picard_fn, linsolver, target, floor):
-    rn = float(np.linalg.norm(residual_fn(v)))
-    best_v, best_rn = v, rn
+def _picard(v, r, residual_fn, jacobian_fn, picard_fn, linsolver, target, floor, max_iters):
+    """Relaxed frozen-penalty iteration; returns the best iterate, its
+    residual and the stats."""
+    r0n = rn = float(np.linalg.norm(r))
+    best_v, best_r, best_rn = v, r, rn
     stall = 0
     it = 0
-    while it < PICARD_MAX_ITERS and rn > floor:
+    while it < max_iters and rn > floor:
         A, rhs = picard_fn(v)
         # solving for the correction makes the Krylov tolerance relative to
         # the defect, not to the whole right-hand side
@@ -141,18 +136,17 @@ def _picard(v, r0n, residual_fn, picard_fn, linsolver, target, floor):
         # relaxation with backtracking: halve the mixing weight while the
         # residual grows, so the iteration cannot oscillate across the ramp
         omega = PICARD_RELAX
-        v_next = v + omega * (v_lin - v)
-        rn_next = float(np.linalg.norm(residual_fn(v_next)))
-        for _ in range(MAX_HALVINGS):
+        for _ in range(MAX_HALVINGS + 1):
+            v_next = v + omega * (v_lin - v)
+            r_next = residual_fn(v_next)
+            rn_next = float(np.linalg.norm(r_next))
             if rn_next < rn:
                 break
             omega *= 0.5
-            v_next = v + omega * (v_lin - v)
-            rn_next = float(np.linalg.norm(residual_fn(v_next)))
         v, rn = v_next, rn_next
         it += 1
         if rn < best_rn:
-            best_v, best_rn = v, rn
+            best_v, best_r, best_rn = v, r_next, rn
             stall = 0
         else:
             stall += 1
@@ -161,4 +155,4 @@ def _picard(v, r0n, residual_fn, picard_fn, linsolver, target, floor):
             break
         if stall >= 20:
             break
-    return best_v, SolveStats(it, best_rn, r0n, "picard")
+    return best_v, best_r, SolveStats(it, best_rn, r0n, "picard")

@@ -6,7 +6,7 @@ diagonal fields affine in x2, smooth analytic fields, and fields sampled on
 a grid with bilinear interpolation (loadable from CSV).
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,6 +18,8 @@ KIND_IDENTITY = "IDENTITY"
 KIND_LAYERED = "LAYERED"
 KIND_SMOOTH_ANALYTIC = "SMOOTH_ANALYTIC"
 KIND_GRID_SAMPLED = "GRID_SAMPLED"
+
+TOL_DIV = 1e-10
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,6 @@ class PermeabilityField:
     tensor: Callable
     div_ae: Optional[Callable] = None
     geometry: object = None
-    params: dict = None
 
     def __call__(self, x1, x2):
         return self.tensor(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
@@ -78,14 +79,7 @@ class AssumptionReport:
     div_sign_ok: bool = True
 
     def as_dict(self):
-        return {
-            "lambda_est": self.lambda_est,
-            "Lambda_est": self.Lambda_est,
-            "N_est": self.N_est,
-            "div_ae_min": self.div_ae_min,
-            "symmetric": self.symmetric,
-            "div_sign_ok": self.div_sign_ok,
-        }
+        return asdict(self)
 
 
 def identity_field(geometry=None):
@@ -94,7 +88,7 @@ def identity_field(geometry=None):
         return one, np.zeros_like(one), one
 
     return PermeabilityField(KIND_IDENTITY, tensor, div_ae=lambda x1, x2: np.zeros(np.broadcast(x1, x2).shape),
-                             geometry=geometry, params={})
+                             geometry=geometry)
 
 
 def layered_field(a11=1.0, a22_base=1.0, a22_slope=0.0, geometry=None):
@@ -108,11 +102,10 @@ def layered_field(a11=1.0, a22_base=1.0, a22_slope=0.0, geometry=None):
     def div_ae(x1, x2):
         return np.full(np.broadcast(x1, x2).shape, float(a22_slope))
 
-    return PermeabilityField(KIND_LAYERED, tensor, div_ae=div_ae, geometry=geometry,
-                             params={"a11": a11, "a22_base": a22_base, "a22_slope": a22_slope})
+    return PermeabilityField(KIND_LAYERED, tensor, div_ae=div_ae, geometry=geometry)
 
 
-def smooth_field(a11, a12, a22, div_ae=None, geometry=None, params=None):
+def smooth_field(a11, a12, a22, div_ae=None, geometry=None):
     """Analytic field from three callables (x1, x2) -> entry value."""
 
     def tensor(x1, x2):
@@ -123,8 +116,7 @@ def smooth_field(a11, a12, a22, div_ae=None, geometry=None, params=None):
                 np.broadcast_to(a12(x1, x2), shape).astype(float),
                 np.broadcast_to(a22(x1, x2), shape).astype(float))
 
-    return PermeabilityField(KIND_SMOOTH_ANALYTIC, tensor, div_ae=div_ae, geometry=geometry,
-                             params=params or {})
+    return PermeabilityField(KIND_SMOOTH_ANALYTIC, tensor, div_ae=div_ae, geometry=geometry)
 
 
 def constant_anisotropic_field(a11=1.0, a12=0.0, a22=1.0, geometry=None):
@@ -132,7 +124,7 @@ def constant_anisotropic_field(a11=1.0, a12=0.0, a22=1.0, geometry=None):
                         lambda x1, x2: np.full(x1.shape, float(a12)),
                         lambda x1, x2: np.full(x1.shape, float(a22)),
                         div_ae=lambda x1, x2: np.zeros(np.broadcast(x1, x2).shape),
-                        geometry=geometry, params={"a11": a11, "a12": a12, "a22": a22})
+                        geometry=geometry)
 
 
 def grid_sampled_field(grid, a11_nodes, a12_nodes, a22_nodes):
@@ -153,8 +145,7 @@ def grid_sampled_field(grid, a11_nodes, a12_nodes, a22_nodes):
     def tensor(x1, x2):
         return (interp(a11_nodes, x1, x2), interp(a12_nodes, x1, x2), interp(a22_nodes, x1, x2))
 
-    return PermeabilityField(KIND_GRID_SAMPLED, tensor, div_ae=None,
-                             geometry=grid.geometry, params={"nx": grid.nx, "ny": grid.ny})
+    return PermeabilityField(KIND_GRID_SAMPLED, tensor, div_ae=None, geometry=grid.geometry)
 
 
 def load_field_csv(path, grid):
@@ -177,12 +168,12 @@ def eval_tensor(field, x):
     return SymTensor2(float(a11), float(a12), float(a22))
 
 
-def validate_assumptions(field, grid, tol_div=1e-10):
+def validate_assumptions(field, grid):
     """Sample ellipticity, boundedness and Lipschitz estimates on the grid.
 
     Raises AssumptionViolation if any sampled tensor fails positive
     definiteness; otherwise returns the report, with the sign condition on
-    div(a(x)e) flagged (not raised) when violated beyond tol_div.
+    div(a(x)e) flagged (not raised) when violated beyond TOL_DIV.
     """
     X1, X2 = grid.coords()
     a11, a12, a22 = field(X1, X2)
@@ -220,4 +211,4 @@ def validate_assumptions(field, grid, tol_div=1e-10):
 
     return AssumptionReport(lambda_est=lambda_est, Lambda_est=Lambda_est, N_est=n_est,
                             div_ae_min=div_min, symmetric=True,
-                            div_sign_ok=bool(div_min >= -tol_div))
+                            div_sign_ok=bool(div_min >= -TOL_DIV))

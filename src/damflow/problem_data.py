@@ -8,6 +8,8 @@ import numpy as np
 from .errors import InvalidArgument, InvalidData
 from .io import read_solution_csv
 
+TOL_ORDER = 1e-9
+
 
 @dataclass
 class SolutionField:
@@ -127,17 +129,17 @@ class OrderingReport:
         return self.max_below_lower <= self.tol and self.max_above_upper <= self.tol
 
 
-def validate_initial(data, v0, v1, gamma0, gamma1, tol_order=1e-9):
+def validate_initial(data, v0, v1, gamma0, gamma1):
     """Check the initial pair lies in the stationary order interval.
 
     Reports the worst violations of v0 <= u0 <= v1 and gamma0 <= chi0 <=
-    gamma1; passes iff both are within tol_order.
+    gamma1; passes iff both are within TOL_ORDER.
     """
     below = max(float(np.max(v0 - data.u0, initial=0.0)),
                 float(np.max(gamma0 - data.chi0, initial=0.0)))
     above = max(float(np.max(data.u0 - v1, initial=0.0)),
                 float(np.max(data.chi0 - gamma1, initial=0.0)))
-    return OrderingReport(max_below_lower=below, max_above_upper=above, tol=tol_order)
+    return OrderingReport(max_below_lower=below, max_above_upper=above, tol=TOL_ORDER)
 
 
 def load_solution_csv(path, grid, time=0.0):

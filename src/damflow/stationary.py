@@ -19,7 +19,6 @@ from .penalty import (PenaltyConfig, g_eps, g_eps_derivative, heaviside_eps,
 from .problem_data import SolutionField
 
 TOL_NEWTON = 1e-9
-MAX_ITERS = 50
 TOL_NEG = 1e-10
 TOL_CHI = 1e-2
 
@@ -111,7 +110,7 @@ class DamOperator:
         return apply_dirichlet_system(self._stiffness_plus(D), self.pinned, self.values, rhs)
 
 
-def assemble_stationary_residual(v, field, grid, tags, config, n_gauss=2):
+def assemble_stationary_residual(v, field, grid, tags, config):
     """Residual of the penalized stationary weak form for a nodal field v.
 
     v must already carry its own Dirichlet values (those rows come back 0).
@@ -119,7 +118,7 @@ def assemble_stationary_residual(v, field, grid, tags, config, n_gauss=2):
     v_flat = grid.flatten(v)
     if v_flat.size != grid.n_nodes:
         raise InvalidArgument(f"field has {v_flat.size} values, grid has {grid.n_nodes} nodes")
-    asm = Q1Assembler(grid, field, n_gauss=n_gauss)
+    asm = Q1Assembler(grid, field)
     return DamOperator(asm, config, tags.dirichlet_mask.ravel(), v_flat).residual(v_flat)
 
 
@@ -142,7 +141,7 @@ def hydrostatic_initial_guess(grid, tags, phi_flat):
     return v
 
 
-def _positivity_polish(v, problem, linsolver, tol_newton, max_iters):
+def _positivity_polish(v, problem, linsolver, tol_newton):
     """Active-set enforcement of the nonnegativity constraint v >= 0.
 
     The sharp penalty ramp is subgrid once eps drops below roughly 2h/3 and
@@ -168,7 +167,7 @@ def _positivity_polish(v, problem, linsolver, tol_newton, max_iters):
         op = DamOperator(problem.asm, problem.penalty, dmask | active, contact_values)
         v = np.where(active, 0.0, v)
         v, stats = newton_picard_solve(v, op.residual, op.jacobian, op.picard, linsolver,
-                                       tol_newton=tol_newton, max_iters=max_iters)
+                                       tol_newton=tol_newton)
     return v, stats, int(active.sum())
 
 
@@ -177,8 +176,7 @@ _EPS_RESOLVED_CELLS = 0.7
 _EPS_LADDER_RATIO = 0.65
 
 
-def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON,
-                     max_iters=MAX_ITERS, method="newton", asm=None):
+def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON, method="newton"):
     """Solve the penalized stationary problem for boundary head ``phi``.
 
     phi may be a callable (x1, x2) -> head or a nodal array.  Returns a
@@ -187,8 +185,6 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON,
     negativity beyond TOL_NEG is removed by an obstacle-style active-set
     polish, so the returned v is nonnegative up to rounding.
     """
-    if asm is None:
-        asm = Q1Assembler(grid, field)
     if callable(phi):
         phi_flat = dirichlet_values(grid, tags, phi).ravel()
     else:
@@ -197,6 +193,7 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON,
     if np.any(phi_flat[dmask] < 0):
         raise InvalidArgument("boundary head must be nonnegative")
 
+    asm = Q1Assembler(grid, field)
     linsolver = LinearSolver(prolongation=asm.prolongation())
 
     # eps ladder: start where the ramp spans ~a cell, walk down geometrically
@@ -214,15 +211,14 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON,
         cfg_k = config if eps_k == config.eps else PenaltyConfig(eps=eps_k, alpha=config.alpha)
         op = DamOperator(asm, cfg_k, dmask, phi_flat)
         v, stats = newton_picard_solve(v, op.residual, op.jacobian, op.picard, linsolver,
-                                       tol_newton=tol_newton, max_iters=max_iters,
-                                       method=method)
+                                       tol_newton=tol_newton, method=method)
         ladder_stats.append(stats)
     total_iters = sum(st.iters for st in ladder_stats)
     # the problem's own starting point: the hydrostatic guess at the first eps
     initial_residual_norm = ladder_stats[0].initial_residual_norm
 
     # the last rung is config.eps itself, so op is the problem being polished
-    v, pstats, n_clamped = _positivity_polish(v, op, linsolver, tol_newton, max_iters)
+    v, pstats, n_clamped = _positivity_polish(v, op, linsolver, tol_newton)
     if pstats is not None:
         stats = pstats
         total_iters += pstats.iters

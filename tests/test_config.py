@@ -46,12 +46,6 @@ def test_unknown_mode_rejected(tmp_path):
         load_config(path)
 
 
-def test_bad_seed_rejected(tmp_path):
-    path = _write(tmp_path, "[run]\nmode = stationary\nseed = x\n")
-    with pytest.raises(ConfigError):
-        load_config(path)
-
-
 def test_build_problem_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, BASE))
     problem = build_problem(cfg)

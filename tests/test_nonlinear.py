@@ -57,8 +57,59 @@ def test_unsolvable_system_raises():
         return sp.identity(n, format="csr"), v  # fixed at v, no progress
 
     with pytest.raises(NonConvergence):
-        newton_picard_solve(np.zeros(n), residual, jacobian, picard, LinearSolver(),
-                            max_iters=5)
+        newton_picard_solve(np.zeros(n), residual, jacobian, picard, LinearSolver())
+
+
+def _logged_fns(n, stalled):
+    """The fixed-point functions with call logs; each path named in
+    ``stalled`` gets a linearization that points away from the root."""
+    residual, jacobian, picard = _fixed_point_fns(n)
+    log = {"residual": [], "jacobian": 0, "picard": 0}
+
+    def logged_residual(v):
+        log["residual"].append(v.copy())
+        return residual(v)
+
+    def logged_jacobian(v):
+        log["jacobian"] += 1
+        return -jacobian(v) if "newton" in stalled else jacobian(v)
+
+    def logged_picard(v):
+        log["picard"] += 1
+        if "picard" in stalled:
+            return sp.identity(n, format="csr"), 2.0 * v - _STAR
+        return picard(v)
+
+    return logged_residual, logged_jacobian, logged_picard, log
+
+
+@pytest.mark.parametrize("method", ["newton", "picard"])
+def test_stalled_primary_path_falls_back_to_the_other(method):
+    other = "picard" if method == "newton" else "newton"
+    n = 20
+    v0 = np.linspace(0.0, 1.5, n)
+    residual, jacobian, picard, log = _logged_fns(n, stalled={method})
+    v, stats = newton_picard_solve(v0, residual, jacobian, picard, LinearSolver(),
+                                   method=method)
+    np.testing.assert_allclose(v, _STAR, atol=1e-9)
+    assert stats.method == f"{method}+{other}"
+    # one Jacobian build per Newton iteration, one Picard build per Picard one
+    assert log["jacobian"] >= 1 and log["picard"] >= 1
+    assert stats.iters == log["jacobian"] + log["picard"]
+    assert stats.initial_residual_norm == np.linalg.norm(v0 - np.cos(v0))
+    assert stats.residual_norm <= 1e-9 * (1.0 + stats.initial_residual_norm)
+    # the fallback starts from the residual the primary path left, at v0 here
+    assert sum(np.array_equal(x, v0) for x in log["residual"]) == 1
+
+
+@pytest.mark.parametrize("method", ["newton", "picard"])
+def test_both_paths_stalled_raises_naming_both(method):
+    n = 20
+    residual, jacobian, picard, _ = _logged_fns(n, stalled={"newton", "picard"})
+    first, second = ("Newton", "Picard") if method == "newton" else ("Picard", "Newton")
+    with pytest.raises(NonConvergence, match=f"{first} and {second} both stalled"):
+        newton_picard_solve(np.linspace(0.0, 1.5, n), residual, jacobian, picard,
+                            LinearSolver(), method=method)
 
 
 def test_polish_breakdown_ends_the_polish_without_lu(monkeypatch):
