@@ -104,13 +104,8 @@ def steklov_average(times, values, h_avg):
     ``values`` may be scalars or fields, time along the leading axis.
     Returns (new_times, averaged_values).
     """
-    times = np.asarray(times, dtype=float)
+    times, new_times = _steklov_window(times, h_avg)
     values = np.asarray(values, dtype=float)
-    T = times[-1] - times[0]
-    if not (0.0 < h_avg <= T + 1e-15):
-        raise InvalidArgument(f"averaging window {h_avg} outside (0, {T}]")
-    keep = times + h_avg <= times[-1] + 1e-12 * max(T, 1.0)
-    new_times = times[keep]
     out = np.empty((new_times.size,) + values.shape[1:])
     for idx, t in enumerate(new_times):
         out[idx] = _integrate_pl(times, values, t, t + h_avg) / h_avg
@@ -119,14 +114,22 @@ def steklov_average(times, values, h_avg):
 
 def steklov_derivative(times, values, h_avg):
     """Exact time derivative of the Steklov mean: (g(t+h) - g(t))/h."""
-    times = np.asarray(times, dtype=float)
+    times, new_times = _steklov_window(times, h_avg)
     values = np.asarray(values, dtype=float)
-    keep = times + h_avg <= times[-1] + 1e-12 * max(times[-1] - times[0], 1.0)
-    new_times = times[keep]
     out = np.empty((new_times.size,) + values.shape[1:])
     for idx, t in enumerate(new_times):
         out[idx] = (_eval_pl(times, values, t + h_avg) - _eval_pl(times, values, t)) / h_avg
     return new_times, out
+
+
+def _steklov_window(times, h_avg):
+    """(times, the start times t whose window [t, t + h] lies inside the
+    series); raises InvalidArgument unless 0 < h <= T."""
+    times = np.asarray(times, dtype=float)
+    T = times[-1] - times[0]
+    if not (0.0 < h_avg <= T + 1e-15):
+        raise InvalidArgument(f"averaging window {h_avg} outside (0, {T}]")
+    return times, times[times + h_avg <= times[-1] + 1e-12 * max(T, 1.0)]
 
 
 def _eval_pl(times, values, t):

@@ -132,10 +132,7 @@ def _write_trajectory(problem, traj, out):
             name = snapshot_filename(idx)
             write_solution_csv(os.path.join(out, name), problem.grid, snap)
             written.append({"file": name, "time": snap.time})
-    diag = [{"time": d.time, "newton_iters": d.newton_iters, "residual_norm": d.residual_norm,
-             "mass_balance_rel": d.mass_balance_rel, "boundary_inflow": d.boundary_inflow,
-             "method": d.method, "dt_halvings": d.dt_halvings,
-             "linear_fallbacks": d.linear_fallbacks} for d in traj.diagnostics]
+    diag = [dataclasses.asdict(d) for d in traj.diagnostics]
     write_json(os.path.join(out, "trajectory.json"),
                {"times": list(traj.times), "snapshots": written, "diagnostics": diag})
     return diag

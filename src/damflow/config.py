@@ -21,6 +21,7 @@ Recognized sections and keys:
 
 import configparser
 import functools
+import math
 import os
 from dataclasses import dataclass, field as dc_field
 
@@ -47,19 +48,37 @@ class RunConfig:
     def get(self, section, key, default=None):
         return self.raw.get(section, {}).get(key, default)
 
-    def getfloat(self, section, key, default=None):
+    def _parse(self, section, key, default, parse, expected):
         v = self.get(section, key, default)
-        return None if v is None else float(v)
+        if v is None:
+            return None
+        try:
+            return parse(v)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{section}.{key} must be {expected}, got {v!r}") from None
+
+    def getfloat(self, section, key, default=None):
+        return self._parse(section, key, default, _finite_float, "a finite number")
 
     def getint(self, section, key, default=None):
-        v = self.get(section, key, default)
-        return None if v is None else int(v)
+        return self._parse(section, key, default, int, "an integer")
 
     def getbool(self, section, key, default=False):
-        v = self.get(section, key)
-        if v is None:
-            return default
-        return str(v).strip().lower() in ("1", "true", "yes", "on")
+        return self._parse(section, key, default, _boolean,
+                           "one of " + "|".join(configparser.ConfigParser.BOOLEAN_STATES))
+
+
+def _finite_float(v):
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(x)
+    return x
+
+
+def _boolean(v):
+    if isinstance(v, bool):
+        return v
+    return configparser.ConfigParser.BOOLEAN_STATES[str(v).strip().lower()]
 
 
 def load_config(path):
@@ -204,6 +223,9 @@ def pose_problem(cfg):
 
     T = cfg.getfloat("time", "t", 1.0)
     dt = cfg.getfloat("time", "dt", grid.h2)
+    if dt <= 0 or not math.isfinite(T / dt):
+        raise ConfigError(f"need time.dt > 0 and a finite step count time.t/time.dt, "
+                          f"got T={T}, dt={dt}")
     n_steps = int(round(T / dt))
     if n_steps >= 1 and abs(n_steps * dt - T) > 1e-12 * max(T, 1.0):
         raise ConfigError(f"time.T={T} is not an integer multiple of time.dt={dt}")
@@ -212,10 +234,14 @@ def pose_problem(cfg):
     if method not in ("newton", "picard"):
         raise ConfigError(f"unknown solver method {method!r}")
 
+    tol_newton = cfg.getfloat("solver", "tol_newton", 1e-9)
+    if tol_newton <= 0:
+        raise ConfigError(f"solver.tol_newton must be positive, got {tol_newton}")
+
     return Problem(geometry=geometry, grid=grid, field=field,
                    tags=classify_boundary(grid, phi), phi=phi, penalty=pen,
                    assumption_report=report, dt=dt, n_steps=max(n_steps, 1), method=method,
-                   tol_newton=cfg.getfloat("solver", "tol_newton", 1e-9),
+                   tol_newton=tol_newton,
                    project=cfg.getbool("data", "project", True),
                    every_n_steps=max(cfg.getint("output", "every_n_steps", 1), 1))
 

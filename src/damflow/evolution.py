@@ -7,7 +7,6 @@ pressure.
 """
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 
@@ -74,15 +73,11 @@ def project_initial(data, v1eps, config):
 
     u0e = min(u0, v1e) and chi0e = min(chi0, H_eps(v1e)), both nodal.
     """
-    return _clip_under_barrier(data.u0, data.chi0, v1eps, config)
-
-
-def _clip_under_barrier(u0, chi0, v1eps, config):
     v1 = np.asarray(v1eps.v, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
+    u0 = np.asarray(data.u0, dtype=float)
     if u0.shape != v1.shape:
         raise InvalidArgument(f"initial data shape {u0.shape} != barrier shape {v1.shape}")
-    return np.minimum(u0, v1), np.minimum(np.asarray(chi0, dtype=float),
+    return np.minimum(u0, v1), np.minimum(np.asarray(data.chi0, dtype=float),
                                           heaviside_eps(v1, config.eps))
 
 
@@ -91,27 +86,19 @@ class _Stepper:
 
     def __init__(self, field, grid, tags, phi, config):
         self.config = config
+        self.grid = grid
         self.asm = Q1Assembler(grid, field)
-        self.phi_flat = dirichlet_values(grid, tags, phi).ravel() if callable(phi) \
-            else grid.flatten(phi).copy()
+        self.phi_flat = dirichlet_values(grid, tags, phi).ravel()
         self.dmask = tags.dirichlet_mask.ravel()
         self.mlump = self.asm.lumped_mass()
         self.linsolver = LinearSolver(prolongation=self.asm.prolongation())
 
-    def advance(self, u_flat, dt, chi_old=None):
-        """One backward-Euler step; returns (u_next_flat, DamOperator, SolveStats).
-
-        chi_old lets the caller carry a saturation that is not H_eps(u_old),
-        as happens for the very first step of runs whose initial pair was
-        given independently.
-        """
+    def advance(self, u_flat, chi_flat, dt):
+        """One backward-Euler step from the pair (u, chi) with storage
+        alpha*u + chi; returns (u_next_flat, DamOperator, SolveStats)."""
         cfg = self.config
-        pen = cfg.penalty
-        if chi_old is None:
-            g_old = g_eps(u_flat, pen)
-        else:
-            g_old = pen.alpha * u_flat + chi_old
-        op = DamOperator(self.asm, pen, self.dmask, self.phi_flat, self.mlump, dt, g_old)
+        g_old = cfg.penalty.alpha * u_flat + chi_flat
+        op = DamOperator(self.asm, cfg.penalty, self.dmask, self.phi_flat, self.mlump, dt, g_old)
         u0 = u_flat.copy()
         u0[self.dmask] = self.phi_flat[self.dmask]
         u_next, stats = newton_picard_solve(u0, op.residual, op.jacobian, op.picard,
@@ -136,76 +123,56 @@ class _Stepper:
         return imbalance, inflow, scale
 
 
-def step(state, config, field, grid, tags, phi, stepper=None):
-    """Advance one snapshot by dt with dt-halving retries on failure."""
-    if stepper is None:
-        stepper = _Stepper(field, grid, tags, phi, config)
-    u_flat = grid.flatten(state.u).copy()
-    chi_flat = grid.flatten(state.chi).copy()
-
-    dt = config.dt
-    halvings = 0
+def step(state, stepper):
+    """Advance one snapshot by dt; a failed solve halves dt, at most MAX_DT_RETRIES times."""
+    config, grid, eps = stepper.config, stepper.grid, stepper.config.penalty.eps
+    index = round(state.time / config.dt)
     fallbacks = stepper.linsolver.fallbacks
-    while True:
+    for halvings in range(MAX_DT_RETRIES + 1):
+        u, chi, ledgers = grid.flatten(state.u), grid.flatten(state.chi), []
         try:
-            u = u_flat
-            chi_old = chi_flat
-            ledgers = []
-            for _ in range(2 ** halvings):
-                u_next, op, stats = stepper.advance(u, dt, chi_old=chi_old)
-                ledgers.append(stepper.ledger(op, u_next))
-                u = u_next
-                chi_old = None  # substeps after the first carry H_eps(u)
+            for k in range(2 ** halvings):
+                chi = heaviside_eps(u, eps) if k else chi
+                u, op, stats = stepper.advance(u, chi, config.dt / 2 ** halvings)
+                ledgers.append(stepper.ledger(op, u))
             break
         except NonConvergence as exc:
-            halvings += 1
-            if halvings > MAX_DT_RETRIES:
-                raise StepFailure(f"step at t={state.time} failed after {MAX_DT_RETRIES} "
-                                  f"dt halvings: {exc}", step_index=round(state.time / config.dt),
-                                  residual_norm=exc.residual_norm) from exc
-            dt = dt / 2.0
+            failure = exc
+    else:
+        raise StepFailure(f"step at t={state.time} failed after {MAX_DT_RETRIES} dt halvings: "
+                          f"{failure}", step_index=index,
+                          residual_norm=failure.residual_norm) from failure
 
     u_min = float(np.min(u))
     if u_min < -TOL_NEG:
         raise StepFailure(f"pressure undershoot {u_min:.3e} at t={state.time + config.dt}",
-                          step_index=round(state.time / config.dt), residual_norm=stats.residual_norm)
-    u = np.maximum(u, 0.0)
+                          step_index=index, residual_norm=stats.residual_norm)
+    u = np.maximum(u, 0.0).reshape(grid.shape)
     imbalance = sum(entry[0] for entry in ledgers)
-    inflow = sum(entry[1] for entry in ledgers)
-    scale = max(max(entry[2] for entry in ledgers), 1e-30)
-    mass_rel = abs(imbalance) / scale
-    new = SolutionField(u=u.reshape(grid.shape),
-                        chi=heaviside_eps(u.reshape(grid.shape), config.penalty.eps),
-                        time=state.time + config.dt)
+    scale = max(entry[2] for entry in ledgers)
+    new = SolutionField(u=u, chi=heaviside_eps(u, eps), time=state.time + config.dt)
     diag = StepDiagnostics(time=new.time, newton_iters=stats.iters,
-                           residual_norm=stats.residual_norm, mass_balance_rel=mass_rel,
-                           boundary_inflow=inflow, method=stats.method, dt_halvings=halvings,
+                           residual_norm=stats.residual_norm,
+                           mass_balance_rel=abs(imbalance) / scale,
+                           boundary_inflow=sum(entry[1] for entry in ledgers),
+                           method=stats.method, dt_halvings=halvings,
                            linear_fallbacks=stepper.linsolver.fallbacks - fallbacks)
     return new, diag
 
 
-def solve_unsteady(data, field, grid, tags, config, u0=None, chi0=None,
-                   v1eps: Optional[object] = None):
-    """Time-step the penalized problem from the (projected) initial data.
-
-    When a penalized upper barrier is supplied the initial pair is first
-    clipped under it; otherwise (u0, chi0) (or data.u0, data.chi0) is used
-    as given.
-    """
-    if u0 is None:
-        u0, chi0 = data.u0, data.chi0
+def solve_unsteady(data, field, grid, tags, config, v1eps=None):
+    """Time-step the penalized problem from data's initial pair, clipped
+    first under the penalized upper barrier ``v1eps`` when one is given."""
+    u0, chi0 = data.u0, data.chi0
     if v1eps is not None:
-        u0, chi0 = _clip_under_barrier(u0, chi0, v1eps, config.penalty)
-
+        u0, chi0 = project_initial(data, v1eps, config.penalty)
     stepper = _Stepper(field, grid, tags, data.phi, config)
-    first = SolutionField(u=np.asarray(u0, dtype=float).reshape(grid.shape),
+    state = SolutionField(u=np.asarray(u0, dtype=float).reshape(grid.shape),
                           chi=np.asarray(chi0, dtype=float).reshape(grid.shape), time=0.0)
-    traj = Trajectory(times=[0.0], snapshots=[first], diagnostics=[])
-    state = first
-    for n in range(config.n_steps):
-        new, diag = step(state, config, field, grid, tags, data.phi, stepper=stepper)
-        traj.times.append(new.time)
-        traj.snapshots.append(new)
+    traj = Trajectory(times=[0.0], snapshots=[state], diagnostics=[])
+    for _ in range(config.n_steps):
+        state, diag = step(state, stepper)
+        traj.times.append(state.time)
+        traj.snapshots.append(state)
         traj.diagnostics.append(diag)
-        state = new
     return traj

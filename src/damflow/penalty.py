@@ -18,10 +18,11 @@ class PenaltyConfig:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise InvalidArgument(f"penalty eps must be positive, got {self.eps}")
-        if self.alpha < 0:
-            raise InvalidArgument(f"compressibility alpha must be >= 0, got {self.alpha}")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise InvalidArgument(f"penalty eps must be finite and positive, got {self.eps}")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise InvalidArgument(f"compressibility alpha must be finite and >= 0, "
+                                  f"got {self.alpha}")
 
 
 def heaviside_eps(s, eps):

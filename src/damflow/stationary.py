@@ -179,16 +179,13 @@ _EPS_LADDER_RATIO = 0.65
 def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON, method="newton"):
     """Solve the penalized stationary problem for boundary head ``phi``.
 
-    phi may be a callable (x1, x2) -> head or a nodal array.  Returns a
-    StationarySolve whose chi is H_eps(v) nodally.  Subgrid eps is reached
-    by continuation in eps (warm-started ladder), and residual nodal
-    negativity beyond TOL_NEG is removed by an obstacle-style active-set
-    polish, so the returned v is nonnegative up to rounding.
+    phi is a callable (x1, x2) -> head.  Returns a StationarySolve whose
+    chi is H_eps(v) nodally.  Subgrid eps is reached by continuation in eps
+    (warm-started ladder), and residual nodal negativity beyond TOL_NEG is
+    removed by an obstacle-style active-set polish, so the returned v is
+    nonnegative up to rounding.
     """
-    if callable(phi):
-        phi_flat = dirichlet_values(grid, tags, phi).ravel()
-    else:
-        phi_flat = grid.flatten(phi).copy()
+    phi_flat = dirichlet_values(grid, tags, phi).ravel()
     dmask = tags.dirichlet_mask.ravel()
     if np.any(phi_flat[dmask] < 0):
         raise InvalidArgument("boundary head must be nonnegative")

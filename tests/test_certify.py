@@ -69,6 +69,14 @@ def test_steklov_derivative_matches_difference_quotient():
         assert d == pytest.approx((hi - lo) / h, abs=1e-13)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.2, 1.5, float("nan")])
+@pytest.mark.parametrize("operator", [steklov_average, steklov_derivative])
+def test_steklov_window_outside_the_horizon_rejected(operator, h):
+    times = np.linspace(0.0, 1.0, 6)
+    with pytest.raises(InvalidArgument):
+        operator(times, 2.0 * times, h)
+
+
 def test_sign_check_forms():
     pairs = [(np.array([1.0, -2.0]), np.array([0.5, -0.25])),
              (np.array([0.0, 1.0]), np.array([0.0, -3.0]))]

@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 import shutil
@@ -88,6 +89,25 @@ def test_validate_lone_percent_exit_2(tmp_path, capsys):
     cfg, _ = _config(tmp_path, STATIONARY, outname="a%b")
     assert main(["validate", cfg]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("grid", "nx", "abc"), ("grid", "nx", "8.0"), ("time", "T", "abc"), ("time", "T", "inf"),
+    ("time", "T", "1e308"), ("time", "dt", "0"), ("time", "dt", "inf"), ("physics", "alpha", "x"),
+    ("penalty", "eps", "nan"), ("solver", "tol_newton", "x"), ("solver", "tol_newton", "-1"),
+    ("output", "every_n_steps", "x"), ("data", "project", "maybe")])
+def test_validate_bad_value_exit_2_naming_the_key(tmp_path, capsys, section, key, value):
+    parser = configparser.ConfigParser()
+    parser.read_string(STATIONARY.format(out="out"))
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
+    path = tmp_path / "run.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    # configparser lowercases keys
+    assert f"{section}.{key.lower()}" in capsys.readouterr().err
 
 
 def test_validation_failure_exit_3(tmp_path):

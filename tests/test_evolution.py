@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from damflow import (DamGeometry, InvalidArgument, PenaltyConfig, build_grid,
-                     classify_boundary, identity_field, make_barrier_data,
-                     solve_stationary)
+from damflow import (DamGeometry, InvalidArgument, NonConvergence, PenaltyConfig,
+                     StepFailure, build_grid, classify_boundary, identity_field,
+                     make_barrier_data, solve_stationary)
+from damflow import evolution
 from damflow.evolution import EvolutionConfig, _Stepper, project_initial, solve_unsteady
-from damflow.penalty import complementarity_bound, heaviside_eps
+from damflow.penalty import complementarity_bound, g_eps, heaviside_eps
 from damflow.problem_data import ProblemData
 
 
@@ -17,6 +18,17 @@ def _barrier_setup(n=32, eps=2e-2, alpha=0.3):
     field = identity_field(geom)
     pen = PenaltyConfig(eps=eps, alpha=alpha)
     return geom, grid, tags, field, phi0, phi1, pen
+
+
+def _midpoint_data(grid, tags, phi0, pen, T):
+    """Midpoint of the hydrostatic pairs at levels 0.2 and 0.8, with the
+    head phi0 on the pervious boundary; chi0 is not H_eps(u0)."""
+    _, X2 = grid.coords()
+    u0 = 0.5 * (np.maximum(0.2 - X2, 0.0) + np.maximum(0.8 - X2, 0.0))
+    chi0 = 0.5 * (np.where(X2 < 0.2, 1.0, 0.0) + np.where(X2 < 0.8, 1.0, 0.0))
+    from damflow.geometry import dirichlet_values
+    u0[tags.dirichlet_mask] = dirichlet_values(grid, tags, phi0)[tags.dirichlet_mask]
+    return ProblemData(alpha=pen.alpha, T_final=T, eps0=0.2, phi=phi0, u0=u0, chi0=chi0)
 
 
 def test_config_validation():
@@ -44,15 +56,7 @@ def test_steady_state_is_a_fixed_point():
 def test_drawdown_monotone_and_conservative():
     """Midpoint initial data over the lower-barrier head relaxes downward."""
     geom, grid, tags, field, phi0, phi1, pen = _barrier_setup(eps=3e-2)
-    _, X2 = grid.coords()
-    u_lo = np.maximum(0.2 - X2, 0.0)
-    u_hi = np.maximum(0.8 - X2, 0.0)
-    u0 = 0.5 * (u_lo + u_hi)
-    chi0 = 0.5 * (np.where(X2 < 0.2, 1.0, 0.0) + np.where(X2 < 0.8, 1.0, 0.0))
-    from damflow.geometry import dirichlet_values
-    dvals = dirichlet_values(grid, tags, phi0)
-    u0[tags.dirichlet_mask] = dvals[tags.dirichlet_mask]
-    data = ProblemData(alpha=pen.alpha, T_final=0.3, eps0=0.2, phi=phi0, u0=u0, chi0=chi0)
+    data = _midpoint_data(grid, tags, phi0, pen, T=0.3)
     cfg = EvolutionConfig(dt=0.02, n_steps=15, penalty=pen)
     traj = solve_unsteady(data, field, grid, tags, cfg)
 
@@ -125,7 +129,8 @@ def test_ledger_splits_the_pde_total():
     _, X2 = grid.coords()
     cfg = EvolutionConfig(dt=0.02, n_steps=1, penalty=pen)
     stepper = _Stepper(field, grid, tags, phi0, cfg)
-    u_next, op, _ = stepper.advance(np.maximum(0.5 - X2, 0.0).ravel(), cfg.dt)
+    u = np.maximum(0.5 - X2, 0.0).ravel()
+    u_next, op, _ = stepper.advance(u, heaviside_eps(u, pen.eps), cfg.dt)
     imbalance, inflow, scale = stepper.ledger(op, u_next)
     pde = op.pde(u_next)
     assert inflow == pytest.approx(-np.sum(pde[tags.dirichlet_mask.ravel()]) * cfg.dt)
@@ -173,3 +178,55 @@ def test_unsteady_run_reports_no_lu_fallback():
     assert [d.linear_fallbacks for d in traj.diagnostics] == [0] * 50
     assert s0.diagnostics["linear_fallbacks"] == s1.diagnostics["linear_fallbacks"] == 0
     assert max(d.mass_balance_rel for d in traj.diagnostics) <= 1e-10
+
+
+def _recording_solve(monkeypatch, failures):
+    """Patch the step's nonlinear solve to raise NonConvergence on its first
+    ``failures`` calls; returns the list of (dt, g_old, result) per call."""
+    original = evolution.newton_picard_solve
+    calls = []
+
+    def solve(v0, residual_fn, *args, **kwargs):
+        op = residual_fn.__self__
+        if len(calls) < failures:
+            calls.append((op.dt, op.g_old.copy(), None))
+            raise NonConvergence("injected", residual_norm=1.0)
+        result = original(v0, residual_fn, *args, **kwargs)
+        calls.append((op.dt, op.g_old.copy(), result[0]))
+        return result
+
+    monkeypatch.setattr(evolution, "newton_picard_solve", solve)
+    return calls
+
+
+def test_failed_step_retries_with_half_the_step(monkeypatch):
+    """One NonConvergence halves dt: two dt/2 substeps, the first from the
+    given pair, the second from H_eps of the first's pressure."""
+    geom, grid, tags, field, phi0, phi1, pen = _barrier_setup(n=12, eps=6e-2)
+    data = _midpoint_data(grid, tags, phi0, pen, T=0.02)
+    calls = _recording_solve(monkeypatch, failures=1)
+    traj = solve_unsteady(data, field, grid, tags,
+                          EvolutionConfig(dt=0.02, n_steps=1, penalty=pen))
+
+    (diag,) = traj.diagnostics
+    assert diag.dt_halvings == 1
+    assert [c[0] for c in calls] == [0.02, 0.01, 0.01]
+    u0, chi0 = grid.flatten(data.u0), grid.flatten(data.chi0)
+    np.testing.assert_array_equal(calls[0][1], pen.alpha * u0 + chi0)
+    np.testing.assert_array_equal(calls[1][1], pen.alpha * u0 + chi0)
+    np.testing.assert_array_equal(calls[2][1], g_eps(calls[1][2], pen))
+    final = traj.final
+    assert final.time == pytest.approx(0.02)
+    np.testing.assert_array_equal(final.chi, heaviside_eps(final.u, pen.eps))
+    assert diag.mass_balance_rel <= 1e-10
+
+
+def test_step_fails_after_the_last_halving(monkeypatch):
+    geom, grid, tags, field, phi0, phi1, pen = _barrier_setup(n=12, eps=6e-2)
+    data = _midpoint_data(grid, tags, phi0, pen, T=0.02)
+    calls = _recording_solve(monkeypatch, failures=10 ** 6)
+    with pytest.raises(StepFailure) as info:
+        solve_unsteady(data, field, grid, tags, EvolutionConfig(dt=0.02, n_steps=1, penalty=pen))
+    assert [c[0] for c in calls] == [0.02 / 2 ** k for k in range(evolution.MAX_DT_RETRIES + 1)]
+    assert info.value.step_index == 0
+    assert info.value.residual_norm == 1.0

@@ -16,6 +16,13 @@ def test_config_validation():
     assert cfg.alpha == 0.0
 
 
+@pytest.mark.parametrize("eps, alpha", [(np.nan, 0.0), (np.inf, 0.0), (1e-2, np.nan),
+                                        (1e-2, np.inf)])
+def test_config_rejects_non_finite(eps, alpha):
+    with pytest.raises(InvalidArgument):
+        PenaltyConfig(eps=eps, alpha=alpha)
+
+
 def test_ramp_values():
     eps = 0.1
     s = np.array([-1.0, 0.0, 0.05, 0.1, 2.0])

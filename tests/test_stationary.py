@@ -103,9 +103,8 @@ def test_boundary_values_held_exactly():
 
 def test_negative_boundary_head_rejected():
     grid, tags, phi, field = _setup(n=8)
-    bad = np.full(grid.shape, -1.0)
     with pytest.raises(InvalidArgument):
-        solve_stationary(bad, field, grid, tags, PenaltyConfig(eps=1e-2))
+        solve_stationary(lambda x1, x2: -1.0, field, grid, tags, PenaltyConfig(eps=1e-2))
 
 
 def test_initial_guess_uses_wet_nodes_only():
