@@ -227,8 +227,10 @@ def pose_problem(cfg):
         raise ConfigError(f"need time.dt > 0 and a finite step count time.t/time.dt, "
                           f"got T={T}, dt={dt}")
     n_steps = int(round(T / dt))
-    if n_steps >= 1 and abs(n_steps * dt - T) > 1e-12 * max(T, 1.0):
-        raise ConfigError(f"time.T={T} is not an integer multiple of time.dt={dt}")
+    if n_steps < 1:
+        raise ConfigError(f"time.t={T} gives no step of time.dt={dt}")
+    if abs(n_steps * dt - T) > 1e-12 * max(T, 1.0):
+        raise ConfigError(f"time.t={T} is not an integer multiple of time.dt={dt}")
 
     method = (cfg.get("solver", "method", "newton") or "newton").strip().lower()
     if method not in ("newton", "picard"):
@@ -240,7 +242,7 @@ def pose_problem(cfg):
 
     return Problem(geometry=geometry, grid=grid, field=field,
                    tags=classify_boundary(grid, phi), phi=phi, penalty=pen,
-                   assumption_report=report, dt=dt, n_steps=max(n_steps, 1), method=method,
+                   assumption_report=report, dt=dt, n_steps=n_steps, method=method,
                    tol_newton=tol_newton,
                    project=cfg.getbool("data", "project", True),
                    every_n_steps=max(cfg.getint("output", "every_n_steps", 1), 1))

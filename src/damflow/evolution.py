@@ -6,6 +6,7 @@ its storage term on); the saturation is always reported as H_eps of the new
 pressure.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -32,8 +33,9 @@ class EvolutionConfig:
     method: str = "newton"
 
     def __post_init__(self):
-        if self.dt <= 0 or self.n_steps < 1:
-            raise InvalidArgument(f"need dt > 0 and n_steps >= 1, got {self.dt}, {self.n_steps}")
+        if not (self.dt > 0 and math.isfinite(self.dt)) or self.n_steps < 1:
+            raise InvalidArgument(f"need a finite dt > 0 and n_steps >= 1, "
+                                  f"got {self.dt}, {self.n_steps}")
 
     @property
     def T(self):

@@ -5,9 +5,12 @@ outer and i inner, with 17 significant digits so repeated runs round-trip
 bit-exactly.  A permeability CSV has the header ``x1,x2,a11,a12,a22`` and one
 row per grid node, in any order.  Both are read by one numpy row reader that
 skips the header, ``#`` lines and blank lines; every defect of the file raises
-``MalformedCSV``.  Every artifact is written atomically.
+``MalformedCSV``.  Every artifact is written atomically.  The ``i, j, x1, x2``
+cells of a node dump depend on the grid alone, so they are formatted once per
+grid into a template that each dump fills with u and chi.
 """
 
+import functools
 import io
 import json
 import os
@@ -49,22 +52,31 @@ def read_json(path):
         return json.load(f)
 
 
-def _write_rows(path, header, row_format, columns):
-    """CSV of ``header`` plus one ``row_format`` line per entry of the columns."""
+def _format_rows(header, row_format, columns):
+    """``header`` plus one ``row_format`` line per entry of the columns."""
     cells = np.column_stack(columns)
-    atomic_write_text(path, header + "\n"
-                      + ((row_format + "\n") * cells.shape[0]) % tuple(cells.ravel().tolist()))
+    return header + "\n" + ((row_format + "\n") * cells.shape[0]) % tuple(cells.ravel().tolist())
+
+
+@functools.lru_cache(maxsize=8)
+def _node_dump_template(grid):
+    """A node dump of ``grid`` with its ``i, j, x1, x2`` cells filled in and
+    ``%.17g,%.17g`` left on each row for u and chi; built on a grid's first
+    write and kept for the next ones."""
+    j, i = (a.ravel() for a in np.indices(grid.shape))
+    return _format_rows(SOLUTION_HEADER, "%d,%d,%.17g,%.17g,%%.17g,%%.17g",
+                        (i, j, i * grid.h1, j * grid.h2))
 
 
 def write_solution_csv(path, grid, sol):
     """Node dump ``i,j,x1,x2,u,chi``."""
-    j, i = (a.ravel() for a in np.indices(grid.shape))
-    _write_rows(path, SOLUTION_HEADER, "%d,%d,%.17g,%.17g,%.17g,%.17g",
-                (i, j, i * grid.h1, j * grid.h2, np.ravel(sol.u), np.ravel(sol.chi)))
+    values = np.column_stack((np.ravel(sol.u), np.ravel(sol.chi)))
+    atomic_write_text(path, _node_dump_template(grid) % tuple(values.ravel().tolist()))
 
 
 def write_energy_csv(path, series):
-    _write_rows(path, "t,E,F", "%.17g,%.17g,%.17g", (series.times, series.E, series.F))
+    atomic_write_text(path, _format_rows("t,E,F", "%.17g,%.17g,%.17g",
+                                         (series.times, series.E, series.F)))
 
 
 def _read_rows(path, header):

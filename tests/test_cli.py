@@ -93,7 +93,8 @@ def test_validate_lone_percent_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("section, key, value", [
     ("grid", "nx", "abc"), ("grid", "nx", "8.0"), ("time", "T", "abc"), ("time", "T", "inf"),
-    ("time", "T", "1e308"), ("time", "dt", "0"), ("time", "dt", "inf"), ("physics", "alpha", "x"),
+    ("time", "T", "1e308"), ("time", "T", "-1"), ("time", "T", "0"), ("time", "T", "0.001"),
+    ("time", "dt", "0"), ("time", "dt", "inf"), ("physics", "alpha", "x"),
     ("penalty", "eps", "nan"), ("solver", "tol_newton", "x"), ("solver", "tol_newton", "-1"),
     ("output", "every_n_steps", "x"), ("data", "project", "maybe")])
 def test_validate_bad_value_exit_2_naming_the_key(tmp_path, capsys, section, key, value):

@@ -37,6 +37,9 @@ def test_config_validation():
         EvolutionConfig(dt=0.0, n_steps=5, penalty=pen)
     with pytest.raises(InvalidArgument):
         EvolutionConfig(dt=0.1, n_steps=0, penalty=pen)
+    for dt in (float("nan"), float("inf")):
+        with pytest.raises(InvalidArgument):
+            EvolutionConfig(dt=dt, n_steps=5, penalty=pen)
     cfg = EvolutionConfig(dt=0.1, n_steps=5, penalty=pen)
     assert cfg.T == pytest.approx(0.5)
 

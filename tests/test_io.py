@@ -84,6 +84,45 @@ def test_solution_csv_golden_bytes(tmp_path):
     assert path.read_bytes() == GOLDEN
 
 
+def test_solution_csv_node_columns_follow_the_grid(tmp_path):
+    """Grids with one node count but other sides write their own x1, x2."""
+    grids = [build_grid(DamGeometry(L, K), 4, 3) for L, K in ((1.0, 1.0), (2.0, 0.5), (1.0, 1.0))]
+    for k, grid in enumerate(grids):
+        X1, X2 = grid.coords()
+        sol = SolutionField(u=X1 + X2, chi=np.zeros(grid.shape))
+        path = tmp_path / f"sol{k}.csv"
+        write_solution_csv(str(path), grid, sol)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        j, i = (a.ravel() for a in np.indices(grid.shape))
+        np.testing.assert_array_equal(rows[:, 0:2], np.column_stack((i, j)))
+        np.testing.assert_array_equal(rows[:, 2], i * grid.h1)
+        np.testing.assert_array_equal(rows[:, 3], j * grid.h2)
+        np.testing.assert_array_equal(rows[:, 4], sol.u.ravel())
+
+
+@pytest.mark.parametrize("values", ["special", "integers"])
+def test_solution_csv_matches_rows_formatted_one_at_a_time(tmp_path, values):
+    """An odd, non-square grid: the dump is the header plus one
+    ``%d,%d,%.17g,%.17g,%.17g,%.17g`` row per node, j outer and i inner."""
+    grid = build_grid(DamGeometry(2.0, 1.0), 7, 5)
+    if values == "special":
+        rng = np.random.default_rng(11)
+        u, chi = rng.uniform(0, 1, grid.shape), rng.uniform(0, 1, grid.shape)
+        u.flat[:4] = [-0.0, 1e-300, 1 - 1e-16, 0.0]
+        chi.flat[-3:] = [1 - 1e-16, -0.0, 1e-300]
+    else:
+        u = np.arange(grid.n_nodes).reshape(grid.shape)
+        chi = np.ones(grid.shape, dtype=int)
+    path = tmp_path / "sol.csv"
+    write_solution_csv(str(path), grid, SolutionField(u=u, chi=chi))
+    expected = ["i,j,x1,x2,u,chi"]
+    for j in range(grid.ny + 1):
+        for i in range(grid.nx + 1):
+            row = (i, j, i * grid.h1, j * grid.h2, float(u[j, i]), float(chi[j, i]))
+            expected.append("%d,%d,%.17g,%.17g,%.17g,%.17g" % row)
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
 @pytest.mark.parametrize("defect", sorted(SOLUTION_DEFECTS))
 def test_load_solution_csv_rejects_malformed(tmp_path, capsys, defect):
     grid = build_grid(DamGeometry(1.0, 1.0), 2, 2)
