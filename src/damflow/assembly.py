@@ -23,9 +23,9 @@ _LOCAL_DI, _LOCAL_DJ = ((_REF_NODES.T + 1.0) / 2.0).astype(int)
 _LOCAL_OFFSET = (3 * (_LOCAL_DJ[None, :] - _LOCAL_DJ[:, None] + 1)
                  + _LOCAL_DI[None, :] - _LOCAL_DI[:, None] + 1)
 
-# Krylov solves of at least this many unknowns are preconditioned by the
-# two-grid cycle; smaller ones by Jacobi, which is cheaper there
-TWO_GRID_MIN_N = 6000
+# Krylov solves of at least this many unknowns refactor the two-grid coarse
+# operator on every solve; smaller ones reuse one factor (LinearSolver)
+REFACTOR_EVERY_SOLVE_MIN_N = 6000
 TWO_GRID_OMEGA = 0.7
 # Krylov relative tolerance outside LinearSolver.tolerance, and iteration cap
 KRYLOV_RTOL = 1e-10
@@ -177,8 +177,9 @@ class Q1Assembler:
 
     def gravity_vector(self, chi_q):
         """Load vector ``integral chi (a e) . grad(phi_m)`` for quad-point chi."""
-        contrib = np.einsum("cq,qm->cm", self.wq[None, :] * chi_q * self.a12, self.gx)
-        contrib += np.einsum("cq,qm->cm", self.wq[None, :] * chi_q * self.a22, self.gy)
+        contrib = np.einsum("cq,qm->cm", self.wq[None, :] * chi_q * self.a22, self.gy)
+        if self.has_a12:
+            contrib = np.einsum("cq,qm->cm", self.wq[None, :] * chi_q * self.a12, self.gx) + contrib
         out = np.zeros(self.grid.n_nodes)
         np.add.at(out, self.conn.ravel(), contrib.ravel())
         return out
@@ -244,15 +245,15 @@ def _diagonal(A):
     return np.where(np.abs(d) > 0, d, 1.0)
 
 
-def two_grid_preconditioner(A, P, R):
+def two_grid_preconditioner(A, P, R, coarse):
     """One symmetric two-grid V(1,1) cycle for A as a LinearOperator.
 
-    Damped Jacobi, the coarse correction P (R A P)^-1 R with the Galerkin
-    operator R A P factored once here, then damped Jacobi again.  With
-    R = P^T the cycle is symmetric whenever A is, so it also serves CG.
+    Damped Jacobi built from A, the coarse correction P C^-1 R with the
+    factor ``coarse`` of C (R A P, or of an earlier A's), then damped Jacobi
+    again.  With R = P^T the cycle is symmetric whenever A and C are, so it
+    also serves CG.
     """
     w = TWO_GRID_OMEGA / _diagonal(A)
-    coarse = spla.splu((R @ (A @ P)).tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     def cycle(r):
         x = w * r
@@ -267,14 +268,17 @@ class LinearSolver:
     """Preconditioned Krylov solve with a sparse-LU rescue.
 
     Conjugate gradients for symmetric matrices, BiCGStab otherwise, to the
-    tolerance ``max(rtol * |b|, atol)``.  Systems of at least
-    ``TWO_GRID_MIN_N`` unknowns are preconditioned by the two-grid cycle on
-    ``prolongation`` (when given), smaller ones by Jacobi.  The Krylov
-    method sees b / |b|, since scipy's breakdown thresholds are absolute.
-    A Krylov failure falls back to a direct factorization (counted in
-    ``fallbacks``) unless ``rescue`` is off; then ``solve`` returns None.
-    Newton's iteration sets ``rtol``, ``atol`` and ``rescue`` per step
-    through ``tolerance``.
+    tolerance ``max(rtol * |b|, atol)``.  With a ``prolongation`` every
+    solve is preconditioned by the two-grid cycle; its Jacobi smoother comes
+    from the current matrix, its coarse factor is kept across solves until
+    they need a new one (``_preconditioner``) and refactored on every solve
+    from ``REFACTOR_EVERY_SOLVE_MIN_N`` unknowns on.  Without one, Jacobi.  The
+    Krylov method sees b / |b|, since scipy's breakdown thresholds are
+    absolute.  A Krylov failure falls back to a direct factorization
+    (counted in ``fallbacks``) unless ``rescue`` is off; then ``solve``
+    returns None.  ``krylov_iters`` and ``coarse_factors`` count Krylov
+    iterations and coarse factorizations.  Newton's iteration sets ``rtol``,
+    ``atol`` and ``rescue`` per step through ``tolerance``.
     """
 
     def __init__(self, prolongation=None):
@@ -282,8 +286,17 @@ class LinearSolver:
         self.atol = 0.0
         self.rescue = True
         self.fallbacks = 0
+        self.krylov_iters = 0
+        self.coarse_factors = 0
         self.prolongation = prolongation
         self.restriction = None if prolongation is None else prolongation.T.tocsr()
+        # the coarse factor, the (shape, symmetric) it was built for, the
+        # iterations of the first solve that used it, and whether the last
+        # solve asked for a new one
+        self._coarse = None
+        self._coarse_key = None
+        self._first_iters = None
+        self._rebuild = False
 
     @contextmanager
     def tolerance(self, rtol, atol=0.0, rescue=True):
@@ -295,21 +308,47 @@ class LinearSolver:
         finally:
             self.rtol, self.atol, self.rescue = saved
 
-    def _preconditioner(self, A):
-        if self.prolongation is not None and A.shape[0] >= TWO_GRID_MIN_N:
-            return two_grid_preconditioner(A, self.prolongation, self.restriction)
-        d = _diagonal(A)
-        return spla.LinearOperator(A.shape, matvec=lambda x: x / d, dtype=float)
+    def _preconditioner(self, A, symmetric):
+        if self.prolongation is None:
+            d = _diagonal(A)
+            return spla.LinearOperator(A.shape, matvec=lambda x: x / d, dtype=float)
+        # rebuild when there is no factor, it was built for another shape or
+        # symmetry (CG needs the factor of a symmetric matrix), or the last
+        # solve failed or needed more than 2 n0 + 5 iterations
+        if self._coarse is None or self._rebuild or self._coarse_key != (A.shape, symmetric):
+            self._coarse = None  # release the old factor before building the new one
+            galerkin = self.restriction @ (A @ self.prolongation)
+            self._coarse = spla.splu(galerkin.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self._coarse_key = (A.shape, symmetric)
+            self._first_iters = None
+            self.coarse_factors += 1
+        return two_grid_preconditioner(A, self.prolongation, self.restriction, self._coarse)
 
     def solve(self, A, b, symmetric):
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros_like(b)
         method = spla.cg if symmetric else spla.bicgstab
+        iters = 0
+
+        def tick(xk):
+            nonlocal iters
+            iters += 1
+
         x, info = method(A, b / bnorm, rtol=self.rtol, atol=self.atol / bnorm,
-                         maxiter=KRYLOV_MAXITER, M=self._preconditioner(A))
+                         maxiter=KRYLOV_MAXITER, M=self._preconditioner(A, symmetric),
+                         callback=tick)
+        if A.shape[0] >= REFACTOR_EVERY_SOLVE_MIN_N:
+            # refactoring costs less here than the iterations reuse adds, and
+            # a factor kept through the next assembly raises peak memory
+            self._coarse = None
         x = x * bnorm
-        if info != 0 or not np.all(np.isfinite(x)):
+        failed = info != 0 or not np.all(np.isfinite(x))
+        self.krylov_iters += iters
+        if self._first_iters is None:
+            self._first_iters = iters
+        self._rebuild = failed or iters > 2 * self._first_iters + 5
+        if failed:
             if not self.rescue:
                 return None
             self.fallbacks += 1

@@ -52,6 +52,8 @@ class StepDiagnostics:
     method: str
     dt_halvings: int = 0
     linear_fallbacks: int = 0
+    krylov_iters: int = 0
+    coarse_factors: int = 0
 
 
 @dataclass
@@ -129,7 +131,8 @@ def step(state, stepper):
     """Advance one snapshot by dt; a failed solve halves dt, at most MAX_DT_RETRIES times."""
     config, grid, eps = stepper.config, stepper.grid, stepper.config.penalty.eps
     index = round(state.time / config.dt)
-    fallbacks = stepper.linsolver.fallbacks
+    solver = stepper.linsolver
+    counts = solver.fallbacks, solver.krylov_iters, solver.coarse_factors
     for halvings in range(MAX_DT_RETRIES + 1):
         u, chi, ledgers = grid.flatten(state.u), grid.flatten(state.chi), []
         try:
@@ -158,7 +161,9 @@ def step(state, stepper):
                            mass_balance_rel=abs(imbalance) / scale,
                            boundary_inflow=sum(entry[1] for entry in ledgers),
                            method=stats.method, dt_halvings=halvings,
-                           linear_fallbacks=stepper.linsolver.fallbacks - fallbacks)
+                           linear_fallbacks=solver.fallbacks - counts[0],
+                           krylov_iters=solver.krylov_iters - counts[1],
+                           coarse_factors=solver.coarse_factors - counts[2])
     return new, diag
 
 

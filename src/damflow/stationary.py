@@ -231,5 +231,7 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON, meth
                            diagnostics={"initial_residual_norm": initial_residual_norm,
                                         "line_search_failures": stats.line_search_failures,
                                         "linear_fallbacks": linsolver.fallbacks,
+                                        "krylov_iters": linsolver.krylov_iters,
+                                        "coarse_factors": linsolver.coarse_factors,
                                         "clamped_nodes": n_clamped,
                                         "continuation_steps": len(ladder)})

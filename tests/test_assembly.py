@@ -6,8 +6,8 @@ import scipy.sparse.linalg as spla
 from damflow import (DamGeometry, PenaltyConfig, build_grid, classify_boundary,
                      constant_anisotropic_field, hydrostatic_head, identity_field, layered_field)
 from damflow import assembly
-from damflow.assembly import (TWO_GRID_MIN_N, LinearSolver, Q1Assembler, apply_dirichlet_matrix,
-                              apply_dirichlet_system, _gauss_1d)
+from damflow.assembly import (REFACTOR_EVERY_SOLVE_MIN_N, LinearSolver, Q1Assembler,
+                              apply_dirichlet_matrix, apply_dirichlet_system, _gauss_1d)
 from damflow.errors import InvalidArgument
 from damflow.penalty import g_eps_derivative, heaviside_eps_derivative
 from damflow.stationary import DamOperator
@@ -90,6 +90,24 @@ def test_gravity_vector_is_weak_divergence_pairing():
     assert g @ w == pytest.approx(2.5)  # integral of 2 + x2
     v = grid.flatten(grid.coords()[0])
     assert g @ v == pytest.approx(0.0, abs=1e-13)  # a12 = 0
+
+
+@pytest.mark.parametrize("field_maker", [identity_field,
+                                         lambda g: constant_anisotropic_field(2.0, 0.25, 3.0, g)])
+def test_gravity_vector_has_the_bits_of_the_full_sum(field_maker):
+    """Skipping the a12 term of an axis-aligned field changes no bit, signed
+    zeros included."""
+    grid, asm = _setup(8, 6, field_maker)
+    rng = np.random.default_rng(2)
+    chi_q = np.where(rng.random((grid.n_cells, asm.nq)) < 0.3, 0.0,
+                     rng.uniform(-0.5, 1.5, (grid.n_cells, asm.nq)))
+    w = asm.wq[None, :] * chi_q
+    contrib = np.einsum("cq,qm->cm", w * asm.a12, asm.gx)
+    contrib += np.einsum("cq,qm->cm", w * asm.a22, asm.gy)
+    full = np.zeros(grid.n_nodes)
+    np.add.at(full, asm.conn.ravel(), contrib.ravel())
+    assert asm.has_a12 == (field_maker is not identity_field)
+    assert np.array_equal(asm.gravity_vector(chi_q).view(np.int64), full.view(np.int64))
 
 
 def test_gravity_jacobian_is_derivative_of_vector():
@@ -227,9 +245,11 @@ def krylov_log(monkeypatch):
         return cycle(A, *args, **kwargs)
 
     def counting(krylov):
-        def run(*args, **kwargs):
+        def run(*args, callback=None, **kwargs):
             def tick(xk):
                 log["iters"] += 1
+                if callback is not None:
+                    callback(xk)
             return krylov(*args, callback=tick, **kwargs)
         return run
 
@@ -245,7 +265,7 @@ TWO_GRID_MAX_ITERS = 25
 
 def test_two_grid_bicgstab_matches_splu_on_a_pinned_jacobian(krylov_log):
     asm, op, u, b = _pinned_jacobian(96, 64)
-    assert asm.grid.n_nodes >= TWO_GRID_MIN_N
+    assert asm.grid.n_nodes >= REFACTOR_EVERY_SOLVE_MIN_N
     J = op.jacobian(u)
     solver = LinearSolver(prolongation=asm.prolongation())
     x = solver.solve(J, b, symmetric=False)
@@ -266,11 +286,80 @@ def test_two_grid_cg_matches_splu_on_a_picard_system(krylov_log):
     assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
 
 
-def test_small_systems_keep_jacobi(krylov_log):
-    asm, op, u, b = _pinned_jacobian(16, 16)
+def _solve_and_check(solver, A, b, symmetric=False):
+    """Solve, check against splu and return the solve's Krylov iterations."""
+    before = solver.krylov_iters
+    x = solver.solve(A, b, symmetric=symmetric)
+    x_ref = spla.splu(A.tocsc()).solve(b)
+    assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+    return solver.krylov_iters - before
+
+
+def test_small_systems_reuse_the_coarse_factor(krylov_log):
+    asm, op, u, b = _pinned_jacobian(64, 64)
+    assert asm.grid.n_nodes < REFACTOR_EVERY_SOLVE_MIN_N
     solver = LinearSolver(prolongation=asm.prolongation())
-    solver.solve(op.jacobian(u), b, symmetric=False)
-    assert krylov_log["two_grid"] == [] and krylov_log["iters"] > 0
+    shifted = u + 1e-3 * np.random.default_rng(5).standard_normal(u.size)
+    first = _solve_and_check(solver, op.jacobian(u), b)
+    second = _solve_and_check(solver, op.jacobian(shifted), b)
+    # one factor, a smoother per solve, and the solver counts what the log sees
+    assert solver.coarse_factors == 1 and krylov_log["two_grid"] == [asm.grid.n_nodes] * 2
+    assert second <= 2 * first + 5
+    assert solver.krylov_iters == krylov_log["iters"] and solver.fallbacks == 0
+
+
+def test_iteration_growth_rebuilds_the_coarse_factor():
+    asm, op, u, b = _pinned_jacobian(64, 64)
+    solver = LinearSolver(prolongation=asm.prolongation())
+    J = op.jacobian(u)
+    first = _solve_and_check(solver, J, b)
+    # rows scaled by 1e3 on a third of the domain: the old coarse factor no
+    # longer fits, the solve grows past 2 n0 + 5 and the next one rebuilds
+    X1, _ = asm.grid.coords()
+    scaled = (sp.diags(asm.grid.flatten(np.where(X1 > 1.0, 1e3, 1.0))) @ J).tocsr()
+    assert _solve_and_check(solver, scaled, b) > 2 * first + 5
+    assert solver.coarse_factors == 1
+    assert _solve_and_check(solver, scaled, b) <= 2 * first + 5
+    assert solver.coarse_factors == 2 and solver.fallbacks == 0
+
+
+def test_symmetric_solve_after_a_nonsymmetric_one_rebuilds():
+    asm, op, u, b = _pinned_jacobian(64, 64)
+    solver = LinearSolver(prolongation=asm.prolongation())
+    _solve_and_check(solver, op.jacobian(u), b)
+    A, rhs = op.picard(u)
+    _solve_and_check(solver, A, rhs, symmetric=True)
+    assert solver.coarse_factors == 2
+    _solve_and_check(solver, A, rhs, symmetric=True)
+    assert solver.coarse_factors == 2
+
+
+def test_failed_solve_rebuilds_the_coarse_factor(monkeypatch):
+    asm, op, u, b = _pinned_jacobian(64, 64)
+    solver = LinearSolver(prolongation=asm.prolongation())
+    J = op.jacobian(u)
+    _solve_and_check(solver, J, b)
+    bicgstab = assembly.spla.bicgstab
+    monkeypatch.setattr(assembly.spla, "bicgstab", lambda A, b, **kw: (np.zeros_like(b), 1))
+    with solver.tolerance(1e-10, rescue=False):
+        assert solver.solve(J, b, symmetric=False) is None
+    monkeypatch.setattr(assembly.spla, "bicgstab", bicgstab)
+    assert solver.coarse_factors == 1
+    _solve_and_check(solver, J, b)
+    assert solver.coarse_factors == 2 and solver.fallbacks == 0
+
+
+def test_large_systems_refactor_on_every_solve(krylov_log):
+    asm, op, u, b = _pinned_jacobian(96, 64)
+    assert asm.grid.n_nodes >= REFACTOR_EVERY_SOLVE_MIN_N
+    solver = LinearSolver(prolongation=asm.prolongation())
+    J = op.jacobian(u)
+    _solve_and_check(solver, J, b)
+    _solve_and_check(solver, J, b)
+    assert solver.coarse_factors == 2 and krylov_log["two_grid"] == [asm.grid.n_nodes] * 2
+    assert solver.krylov_iters == krylov_log["iters"]
+    # a factor this large is not kept past its solve, so it adds no peak memory
+    assert solver._coarse is None
 
 
 def _coo_matrix(asm, local):

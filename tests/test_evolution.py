@@ -165,6 +165,20 @@ def test_newton_and_picard_paths_agree_to_rounding():
     assert gap <= 1e-13
 
 
+def test_repeated_runs_are_bitwise_equal():
+    """The coarse-factor rebuild rule counts iterations, not time, so the same
+    input gives the same trajectory and the same counters."""
+    geom, grid, tags, field, phi0, _, pen = _barrier_setup(n=24, eps=4e-2)
+    data = _midpoint_data(grid, tags, phi0, pen, T=0.1)
+    config = EvolutionConfig(dt=0.02, n_steps=5, penalty=pen)
+    a, b = (solve_unsteady(data, field, grid, tags, config) for _ in range(2))
+    for sa, sb in zip(a.snapshots, b.snapshots):
+        assert np.array_equal(sa.u, sb.u) and np.array_equal(sa.chi, sb.chi)
+    assert a.diagnostics == b.diagnostics
+    assert all(d.krylov_iters > 0 for d in a.diagnostics)
+    assert a.diagnostics[0].coarse_factors >= 1
+
+
 def test_unsteady_run_reports_no_lu_fallback():
     """Every step of a 16x16 midpoint run reaches its polish floor or stops
     polishing without factoring a Jacobian, and says so per step."""

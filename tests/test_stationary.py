@@ -5,7 +5,7 @@ from damflow import (DamGeometry, InvalidArgument, PenaltyConfig, build_grid,
                      classify_boundary, hydrostatic_head, identity_field,
                      layered_field, solve_stationary, two_reservoir_head)
 from damflow import stationary
-from damflow.assembly import TWO_GRID_MIN_N, Q1Assembler
+from damflow.assembly import REFACTOR_EVERY_SOLVE_MIN_N, Q1Assembler
 from damflow.stationary import (TOL_NEG, TOL_NEWTON, DamOperator, assemble_stationary_residual,
                                 hydrostatic_initial_guess)
 from damflow.geometry import dirichlet_values
@@ -71,7 +71,7 @@ def _two_reservoir_dam(eps, method="newton"):
     above the two-grid crossover."""
     geom = DamGeometry(2.0, 1.0)
     grid = build_grid(geom, 128, 64)
-    assert grid.n_nodes >= TWO_GRID_MIN_N
+    assert grid.n_nodes >= REFACTOR_EVERY_SOLVE_MIN_N
     phi = two_reservoir_head(0.9, 0.2, geom)
     return solve_stationary(phi, identity_field(geom), grid, classify_boundary(grid, phi),
                             PenaltyConfig(eps=eps, alpha=0.0), method=method)
