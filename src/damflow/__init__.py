@@ -14,9 +14,9 @@ from .problem_data import (OrderingReport, ProblemData, SolutionField, hydrostat
                            two_reservoir_head, validate_initial)
 from .stationary import StationarySolve, assemble_stationary_residual, solve_stationary
 from .evolution import EvolutionConfig, Trajectory, project_initial, solve_unsteady, step
-from .certify import (CertificateReport, DifferencePair, DualSolver, EnergySeries,
-                      check_sandwich, energy, extract_free_boundary, gronwall_monitor,
-                      sign_check, solve_dual, steklov_average, steklov_derivative)
+from .certify import (CertificateReport, DualSolver, EnergySeries, check_sandwich,
+                      extract_free_boundary, gronwall_monitor, sign_check, steklov_average,
+                      steklov_derivative)
 from .errors import (AssumptionViolation, DamflowError, IncompatibleRuns, InvalidArgument,
                      InvalidData, MalformedCSV, NonConvergence, OutOfDomain, StepFailure)
 

@@ -265,23 +265,23 @@ def two_grid_preconditioner(A, P, R, coarse):
 
 
 class LinearSolver:
-    """Preconditioned Krylov solve with a sparse-LU rescue.
+    """Two-grid preconditioned Krylov solve with a sparse-LU rescue.
 
     Conjugate gradients for symmetric matrices, BiCGStab otherwise, to the
-    tolerance ``max(rtol * |b|, atol)``.  With a ``prolongation`` every
-    solve is preconditioned by the two-grid cycle; its Jacobi smoother comes
-    from the current matrix, its coarse factor is kept across solves until
-    they need a new one (``_preconditioner``) and refactored on every solve
-    from ``REFACTOR_EVERY_SOLVE_MIN_N`` unknowns on.  Without one, Jacobi.  The
-    Krylov method sees b / |b|, since scipy's breakdown thresholds are
-    absolute.  A Krylov failure falls back to a direct factorization
-    (counted in ``fallbacks``) unless ``rescue`` is off; then ``solve``
-    returns None.  ``krylov_iters`` and ``coarse_factors`` count Krylov
-    iterations and coarse factorizations.  Newton's iteration sets ``rtol``,
-    ``atol`` and ``rescue`` per step through ``tolerance``.
+    tolerance ``max(rtol * |b|, atol)``.  Every solve is preconditioned by
+    the two-grid cycle on ``prolongation``; its Jacobi smoother comes from
+    the current matrix, its coarse factor is kept across solves until they
+    need a new one (``_preconditioner``) and refactored on every solve from
+    ``REFACTOR_EVERY_SOLVE_MIN_N`` unknowns on.  The Krylov method sees
+    b / |b|, since scipy's breakdown thresholds are absolute.  A Krylov
+    failure falls back to a direct factorization (counted in ``fallbacks``)
+    unless ``rescue`` is off; then ``solve`` returns None.  ``krylov_iters``
+    and ``coarse_factors`` count Krylov iterations and coarse
+    factorizations.  Newton's iteration sets ``rtol``, ``atol`` and
+    ``rescue`` per step through ``tolerance``.
     """
 
-    def __init__(self, prolongation=None):
+    def __init__(self, prolongation):
         self.rtol = KRYLOV_RTOL
         self.atol = 0.0
         self.rescue = True
@@ -289,12 +289,12 @@ class LinearSolver:
         self.krylov_iters = 0
         self.coarse_factors = 0
         self.prolongation = prolongation
-        self.restriction = None if prolongation is None else prolongation.T.tocsr()
-        # the coarse factor, the (shape, symmetric) it was built for, the
-        # iterations of the first solve that used it, and whether the last
-        # solve asked for a new one
+        self.restriction = prolongation.T.tocsr()
+        # the coarse factor, the symmetry it was built for, the iterations of
+        # the first solve that used it, and whether the last solve asked for
+        # a new one
         self._coarse = None
-        self._coarse_key = None
+        self._coarse_symmetric = None
         self._first_iters = None
         self._rebuild = False
 
@@ -309,17 +309,15 @@ class LinearSolver:
             self.rtol, self.atol, self.rescue = saved
 
     def _preconditioner(self, A, symmetric):
-        if self.prolongation is None:
-            d = _diagonal(A)
-            return spla.LinearOperator(A.shape, matvec=lambda x: x / d, dtype=float)
-        # rebuild when there is no factor, it was built for another shape or
-        # symmetry (CG needs the factor of a symmetric matrix), or the last
-        # solve failed or needed more than 2 n0 + 5 iterations
-        if self._coarse is None or self._rebuild or self._coarse_key != (A.shape, symmetric):
+        # rebuild when there is no factor, it was built for the other symmetry
+        # (CG needs the factor of a symmetric matrix), or the last solve
+        # failed or needed more than 2 n0 + 5 iterations; the prolongation
+        # fixes the matrix size
+        if self._coarse is None or self._rebuild or self._coarse_symmetric != symmetric:
             self._coarse = None  # release the old factor before building the new one
             galerkin = self.restriction @ (A @ self.prolongation)
             self._coarse = spla.splu(galerkin.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            self._coarse_key = (A.shape, symmetric)
+            self._coarse_symmetric = symmetric
             self._first_iters = None
             self.coarse_factors += 1
         return two_grid_preconditioner(A, self.prolongation, self.restriction, self._coarse)

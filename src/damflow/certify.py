@@ -20,15 +20,6 @@ TOL_UNIQUE = 1e-6
 
 
 @dataclass
-class DifferencePair:
-    """Difference fields of two solutions at one time."""
-
-    w: np.ndarray
-    eta: np.ndarray
-    time: float
-
-
-@dataclass
 class EnergySeries:
     """Dual energies E(t), their running integral F(t) and the fitted rate."""
 
@@ -85,16 +76,6 @@ class DualSolver:
         """integral eta*v via the consistent mass matrix."""
         return float(self.grid.flatten(np.asarray(eta, dtype=float))
                      @ (self.M @ self.grid.flatten(v)))
-
-
-def solve_dual(eta, field, grid, tags):
-    """One-off dual solve; prefer DualSolver for time series."""
-    return DualSolver(field, grid, tags).solve(eta)
-
-
-def energy(v, field, grid):
-    """Quadrature of a grad(v).grad(v) over the rectangle."""
-    return Q1Assembler(grid, field).energy(grid.flatten(np.asarray(v, dtype=float)))
 
 
 def steklov_average(times, values, h_avg):
@@ -158,10 +139,9 @@ def _integrate_pl(times, values, a, b):
     return total
 
 
-def sign_check(pairs_or_traj1, traj2=None):
+def sign_check(traj1, traj2):
     """Minimum over all snapshots and nodes of w*(chi1 - chi2).
 
-    Accepts either a sequence of (w, dchi) arrays or two trajectories.
     Nonnegative whenever both trajectories use the same penalty (the
     saturation is then a monotone function of the pressure).  For nodal
     saturations chi = H_eps(u) at unequal widths eps_a != eps_b the sharp
@@ -170,12 +150,8 @@ def sign_check(pairs_or_traj1, traj2=None):
     widths and tends to ``penalty.complementarity_bound(eps)`` = eps/4 as
     the other width goes to 0.
     """
-    if traj2 is not None:
-        pairs = ((s1.u - s2.u, s1.chi - s2.chi)
-                 for s1, s2 in zip(pairs_or_traj1.snapshots, traj2.snapshots))
-    else:
-        pairs = pairs_or_traj1
-    return min(float(np.min(w * dchi)) for w, dchi in pairs)
+    return min(float(np.min((s1.u - s2.u) * (s1.chi - s2.chi)))
+               for s1, s2 in zip(traj1.snapshots, traj2.snapshots))
 
 
 def check_sandwich(u, lower, upper, tol):
@@ -222,16 +198,6 @@ def extract_free_boundary(solution, grid, level=0.5):
     return heights, status
 
 
-def difference_pairs(traj1, traj2, alpha):
-    """DifferencePair sequence for two aligned trajectories."""
-    _check_aligned(traj1, traj2)
-    out = []
-    for s1, s2 in zip(traj1.snapshots, traj2.snapshots):
-        w = s1.u - s2.u
-        out.append(DifferencePair(w=w, eta=alpha * w + (s1.chi - s2.chi), time=s1.time))
-    return out
-
-
 def _check_aligned(traj1, traj2):
     if len(traj1.snapshots) != len(traj2.snapshots):
         raise InvalidArgument("trajectories have different lengths")
@@ -251,20 +217,17 @@ def gronwall_monitor(traj1, traj2, field, grid, tags, alpha):
     |u| of either trajectory: the discrete expression of "zero dual energy
     forces equal solutions".
     """
-    pairs = difference_pairs(traj1, traj2, alpha)
+    _check_aligned(traj1, traj2)
     dual = DualSolver(field, grid, tags)
 
     times = np.asarray(traj1.times, dtype=float)
     E = np.empty(times.size)
     cross = np.empty(times.size)
-    sign_min = np.inf
-    for k, pair in enumerate(pairs):
-        v = dual.solve(pair.eta)
-        E[k] = dual.energy(v)
-        dchi = traj1.snapshots[k].chi - traj2.snapshots[k].chi
-        prod = pair.w * dchi
-        sign_min = min(sign_min, float(np.min(prod)))
-        cross[k] = float(grid.flatten(pair.w) @ (dual.M @ grid.flatten(dchi)))
+    for k, (s1, s2) in enumerate(zip(traj1.snapshots, traj2.snapshots)):
+        w = s1.u - s2.u
+        dchi = s1.chi - s2.chi
+        E[k] = dual.energy(dual.solve(alpha * w + dchi))
+        cross[k] = float(grid.flatten(w) @ (dual.M @ grid.flatten(dchi)))
 
     F = _cumtrapz(times, E)
     X = _cumtrapz(times, cross)
@@ -275,7 +238,7 @@ def gronwall_monitor(traj1, traj2, field, grid, tags, alpha):
     sup_E = float(np.max(E))
     report = CertificateReport(
         sup_E=sup_E, F_final=float(F[-1]), C_fit=C_fit,
-        cross_term_min=float(np.min(X)), sign_min=sign_min,
+        cross_term_min=float(np.min(X)), sign_min=sign_check(traj1, traj2),
         scale=scale, tol=TOL_UNIQUE,
         passed=bool(sup_E <= TOL_UNIQUE * scale))
     return EnergySeries(times=times, E=E, F=F, C_fit=C_fit), report

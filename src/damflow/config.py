@@ -28,6 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from . import permeability as perm
 from .errors import DamflowError
 from .geometry import DamGeometry, build_grid, classify_boundary
+from .nonlinear import TOL_NEWTON
 from .penalty import PenaltyConfig
 from .problem_data import (ProblemData, hydrostatic_head, hydrostatic_profile,
                            load_solution_csv, make_barrier_data, two_reservoir_head)
@@ -119,7 +120,7 @@ class Problem:
     dt: float = 0.0
     n_steps: int = 0
     method: str = "newton"
-    tol_newton: float = 1e-9
+    tol_newton: float = TOL_NEWTON
     project: bool = True
     every_n_steps: int = 1
 
@@ -236,7 +237,7 @@ def pose_problem(cfg):
     if method not in ("newton", "picard"):
         raise ConfigError(f"unknown solver method {method!r}")
 
-    tol_newton = cfg.getfloat("solver", "tol_newton", 1e-9)
+    tol_newton = cfg.getfloat("solver", "tol_newton", TOL_NEWTON)
     if tol_newton <= 0:
         raise ConfigError(f"solver.tol_newton must be positive, got {tol_newton}")
 

@@ -16,10 +16,10 @@ from .assembly import LinearSolver, Q1Assembler
 from .assembly import apply_dirichlet_matrix, apply_dirichlet_system  # noqa: F401
 from .errors import InvalidArgument, NonConvergence, StepFailure
 from .geometry import dirichlet_values
-from .nonlinear import newton_picard_solve
+from .nonlinear import TOL_NEWTON, newton_picard_solve
 from .penalty import PenaltyConfig, g_eps, heaviside_eps
 from .problem_data import SolutionField
-from .stationary import TOL_NEG, TOL_NEWTON, DamOperator
+from .stationary import TOL_NEG, DamOperator
 
 MAX_DT_RETRIES = 3
 

@@ -80,15 +80,8 @@ class Grid:
         x2 = np.arange(self.ny + 1) * self.h2
         return np.meshgrid(x1, x2)
 
-    def node_index(self, i, j):
-        """Flat index of node (i, j)."""
-        return j * (self.nx + 1) + i
-
     def flatten(self, a):
         return np.asarray(a).reshape(self.n_nodes)
-
-    def unflatten(self, a):
-        return np.asarray(a).reshape(self.shape)
 
 
 @dataclass(frozen=True)
@@ -101,24 +94,13 @@ class BoundaryTags:
     kind: np.ndarray
 
     @property
-    def boundary_mask(self):
-        return self.kind != NodeKind.INTERIOR
-
-    @property
     def dirichlet_mask(self):
         """Nodes with an essential condition (the pervious boundary)."""
         return (self.kind == NodeKind.DIRICHLET_WET) | (self.kind == NodeKind.DIRICHLET_DRY)
 
-    @property
-    def free_mask(self):
-        """Unknowns of the discrete system: interior plus impervious nodes."""
-        return ~self.dirichlet_mask
-
 
 def build_grid(geometry, nx, ny):
     """Build the uniform structured grid with nx*ny cells."""
-    if nx < 2 or ny < 2:
-        raise InvalidArgument(f"need at least 2 cells per axis, got nx={nx}, ny={ny}")
     return Grid(geometry=geometry, nx=int(nx), ny=int(ny))
 
 

@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import NonConvergence
 
+# the nonlinear solves stop at TOL_NEWTON * (1 + |r_0|) unless told otherwise
+TOL_NEWTON = 1e-9
 MAX_HALVINGS = 8
 PICARD_RELAX = 0.7
 NEWTON_MAX_ITERS = 50
@@ -38,7 +40,7 @@ class SolveStats:
 
 
 def newton_picard_solve(v0, residual_fn, jacobian_fn, picard_fn, linsolver,
-                        tol_newton=1e-9, method="newton"):
+                        tol_newton=TOL_NEWTON, method="newton"):
     """Drive the nonlinear solve to tol_newton*(1 + initial residual norm).
 
     residual_fn(v) -> residual vector (Dirichlet rows included as v - phi);

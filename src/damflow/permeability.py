@@ -14,11 +14,6 @@ import numpy as np
 from .errors import AssumptionViolation, OutOfDomain
 from .io import read_field_csv
 
-KIND_IDENTITY = "IDENTITY"
-KIND_LAYERED = "LAYERED"
-KIND_SMOOTH_ANALYTIC = "SMOOTH_ANALYTIC"
-KIND_GRID_SAMPLED = "GRID_SAMPLED"
-
 TOL_DIV = 1e-10
 
 
@@ -58,7 +53,6 @@ class PermeabilityField:
     differences.
     """
 
-    kind: str
     tensor: Callable
     div_ae: Optional[Callable] = None
     geometry: object = None
@@ -87,7 +81,7 @@ def identity_field(geometry=None):
         one = np.ones(np.broadcast(x1, x2).shape)
         return one, np.zeros_like(one), one
 
-    return PermeabilityField(KIND_IDENTITY, tensor, div_ae=lambda x1, x2: np.zeros(np.broadcast(x1, x2).shape),
+    return PermeabilityField(tensor, div_ae=lambda x1, x2: np.zeros(np.broadcast(x1, x2).shape),
                              geometry=geometry)
 
 
@@ -102,7 +96,7 @@ def layered_field(a11=1.0, a22_base=1.0, a22_slope=0.0, geometry=None):
     def div_ae(x1, x2):
         return np.full(np.broadcast(x1, x2).shape, float(a22_slope))
 
-    return PermeabilityField(KIND_LAYERED, tensor, div_ae=div_ae, geometry=geometry)
+    return PermeabilityField(tensor, div_ae=div_ae, geometry=geometry)
 
 
 def smooth_field(a11, a12, a22, div_ae=None, geometry=None):
@@ -116,7 +110,7 @@ def smooth_field(a11, a12, a22, div_ae=None, geometry=None):
                 np.broadcast_to(a12(x1, x2), shape).astype(float),
                 np.broadcast_to(a22(x1, x2), shape).astype(float))
 
-    return PermeabilityField(KIND_SMOOTH_ANALYTIC, tensor, div_ae=div_ae, geometry=geometry)
+    return PermeabilityField(tensor, div_ae=div_ae, geometry=geometry)
 
 
 def constant_anisotropic_field(a11=1.0, a12=0.0, a22=1.0, geometry=None):
@@ -145,11 +139,11 @@ def grid_sampled_field(grid, a11_nodes, a12_nodes, a22_nodes):
     def tensor(x1, x2):
         return (interp(a11_nodes, x1, x2), interp(a12_nodes, x1, x2), interp(a22_nodes, x1, x2))
 
-    return PermeabilityField(KIND_GRID_SAMPLED, tensor, div_ae=None, geometry=grid.geometry)
+    return PermeabilityField(tensor, div_ae=None, geometry=grid.geometry)
 
 
 def load_field_csv(path, grid):
-    """Load a GRID_SAMPLED field from CSV rows ``x1,x2,a11,a12,a22``.
+    """Load a grid-sampled field from CSV rows ``x1,x2,a11,a12,a22``.
 
     Raises MalformedCSV (an InvalidArgument) when the rows are not exactly
     one per grid node.

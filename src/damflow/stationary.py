@@ -13,12 +13,11 @@ from .assembly import (LinearSolver, Q1Assembler, apply_dirichlet_matrix,
                        apply_dirichlet_system)
 from .errors import InvalidArgument, NonConvergence
 from .geometry import dirichlet_values
-from .nonlinear import newton_picard_solve
+from .nonlinear import TOL_NEWTON, newton_picard_solve
 from .penalty import (PenaltyConfig, g_eps, g_eps_derivative, heaviside_eps,
                       heaviside_eps_derivative)
 from .problem_data import SolutionField
 
-TOL_NEWTON = 1e-9
 TOL_NEG = 1e-10
 TOL_CHI = 1e-2
 
@@ -31,7 +30,6 @@ class StationarySolve:
     chi: np.ndarray
     residual_norm: float
     newton_iters: int
-    eps_used: float
     method: str = "newton"
     diagnostics: dict = dc_field(default_factory=dict)
 
@@ -181,7 +179,8 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON, meth
 
     phi is a callable (x1, x2) -> head.  Returns a StationarySolve whose
     chi is H_eps(v) nodally.  Subgrid eps is reached by continuation in eps
-    (warm-started ladder), and residual nodal negativity beyond TOL_NEG is
+    (warm-started ladder) unless the hydrostatic guess already meets
+    ``tol_newton`` at eps, and residual nodal negativity beyond TOL_NEG is
     removed by an obstacle-style active-set polish, so the returned v is
     nonnegative up to rounding.
     """
@@ -203,6 +202,10 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON, meth
     ladder.append(config.eps)
 
     v = hydrostatic_initial_guess(grid, tags, phi_flat)
+    # a guess that already meets the tolerance at config.eps needs no ladder
+    if len(ladder) > 1 and (np.linalg.norm(DamOperator(asm, config, dmask, phi_flat).residual(v))
+                            <= tol_newton):
+        ladder = [config.eps]
     ladder_stats = []
     for eps_k in ladder:
         cfg_k = config if eps_k == config.eps else PenaltyConfig(eps=eps_k, alpha=config.alpha)
@@ -227,7 +230,7 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON, meth
     v = np.maximum(v, 0.0).reshape(grid.shape)
     chi = heaviside_eps(v, config.eps)
     return StationarySolve(v=v, chi=chi, residual_norm=stats.residual_norm,
-                           newton_iters=total_iters, eps_used=config.eps, method=stats.method,
+                           newton_iters=total_iters, method=stats.method,
                            diagnostics={"initial_residual_norm": initial_residual_norm,
                                         "line_search_failures": stats.line_search_failures,
                                         "linear_fallbacks": linsolver.fallbacks,

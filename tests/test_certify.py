@@ -3,9 +3,9 @@ import pytest
 
 from damflow import (DamGeometry, InvalidArgument, build_grid, classify_boundary,
                      hydrostatic_head, identity_field)
-from damflow.certify import (DualSolver, check_sandwich, difference_pairs,
-                             extract_free_boundary, gronwall_monitor, sign_check,
-                             solve_dual, steklov_average, steklov_derivative)
+from damflow.certify import (DualSolver, check_sandwich, extract_free_boundary,
+                             gronwall_monitor, sign_check, steklov_average,
+                             steklov_derivative)
 from damflow.evolution import Trajectory
 from damflow.problem_data import SolutionField, hydrostatic_profile
 
@@ -38,7 +38,7 @@ def test_dual_manufactured_convergence_order_two():
         X1, X2 = grid.coords()
         vstar = np.sin(np.pi * X1) * np.cos(np.pi * X2 / 2.0)
         eta = (np.pi ** 2 + (np.pi / 2.0) ** 2) * vstar
-        v = solve_dual(eta, identity_field(geom), grid, tags)
+        v = DualSolver(identity_field(geom), grid, tags).solve(eta)
         err = v - vstar
         errs.append(np.sqrt(np.sum(err ** 2)) / n)
     assert 3.0 < errs[0] / errs[1] < 5.0
@@ -77,10 +77,19 @@ def test_steklov_window_outside_the_horizon_rejected(operator, h):
         operator(times, 2.0 * times, h)
 
 
-def test_sign_check_forms():
-    pairs = [(np.array([1.0, -2.0]), np.array([0.5, -0.25])),
-             (np.array([0.0, 1.0]), np.array([0.0, -3.0]))]
-    assert sign_check(pairs) == pytest.approx(-3.0)
+def _trajectory(us, chis):
+    return Trajectory(times=[0.1 * k for k in range(len(us))],
+                      snapshots=[SolutionField(u=np.array(u), chi=np.array(chi), time=0.1 * k)
+                                 for k, (u, chi) in enumerate(zip(us, chis))])
+
+
+def test_sign_check_is_the_least_cross_product_over_snapshots():
+    # w * (chi1 - chi2) is (0.5, 0.5) at the first snapshot, (0, -3) at the second
+    t1 = _trajectory([[1.0, -2.0], [0.0, 1.0]], [[0.5, -0.25], [0.0, -3.0]])
+    t2 = _trajectory([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
+    assert sign_check(t1, t2) == pytest.approx(-3.0)
+    assert sign_check(t2, t1) == pytest.approx(-3.0)
+    assert sign_check(t1, t1) == 0.0
 
 
 def test_check_sandwich_reports_violations():
@@ -112,13 +121,13 @@ def test_extract_free_boundary_wet_and_dry_columns():
     assert status[-1] == "dry" and heights[-1] == 0.0
 
 
-def test_difference_pairs_alignment_guard():
+def test_gronwall_monitor_alignment_guard():
     grid, tags, field = _setup(4)
     zero = SolutionField(u=np.zeros(grid.shape), chi=np.zeros(grid.shape), time=0.0)
     t1 = Trajectory(times=[0.0, 0.1], snapshots=[zero, zero])
     t2 = Trajectory(times=[0.0], snapshots=[zero])
     with pytest.raises(InvalidArgument):
-        difference_pairs(t1, t2, alpha=0.0)
+        gronwall_monitor(t1, t2, field, grid, tags, alpha=0.0)
 
 
 def test_gronwall_monitor_identical_trajectories():

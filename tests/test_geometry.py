@@ -13,6 +13,12 @@ def test_geometry_rejects_nonpositive_sides():
         DamGeometry(L=2.0, K=-1.0)
 
 
+@pytest.mark.parametrize("nx, ny", [(1, 4), (4, 1), (1.9, 4)])
+def test_grid_needs_two_cells_per_axis(nx, ny):
+    with pytest.raises(InvalidArgument):
+        build_grid(DamGeometry(1.0, 1.0), nx, ny)
+
+
 def test_grid_spacing_and_shape():
     grid = build_grid(DamGeometry(2.0, 1.0), nx=8, ny=4)
     assert grid.h1 == pytest.approx(0.25)
@@ -24,10 +30,14 @@ def test_grid_spacing_and_shape():
     assert X2[-1, 0] == pytest.approx(1.0)
 
 
-def test_flatten_unflatten_roundtrip():
+def test_flatten_orders_nodes_row_by_row():
     grid = build_grid(DamGeometry(1.0, 1.0), 3, 5)
-    v = np.arange(grid.n_nodes, dtype=float).reshape(grid.shape)
-    assert np.array_equal(grid.unflatten(grid.flatten(v)), v)
+    X1, X2 = grid.coords()
+    flat = grid.flatten(X1 / grid.h1 + 10.0 * X2 / grid.h2)
+    # node (i, j) sits at flat index j (nx + 1) + i
+    j, i = np.divmod(np.arange(grid.n_nodes), grid.nx + 1)
+    np.testing.assert_allclose(flat, i + 10.0 * j, rtol=0, atol=1e-12)
+    assert np.array_equal(flat.reshape(grid.shape), X1 / grid.h1 + 10.0 * X2 / grid.h2)
 
 
 def test_bottom_row_is_impervious_including_corners():
@@ -54,7 +64,6 @@ def test_dirichlet_mask_matches_kinds():
     tags = classify_boundary(grid, hydrostatic_head(0.3))
     wetdry = (tags.kind == NodeKind.DIRICHLET_WET) | (tags.kind == NodeKind.DIRICHLET_DRY)
     assert np.array_equal(tags.dirichlet_mask, wetdry)
-    assert np.array_equal(tags.free_mask, ~tags.dirichlet_mask)
 
 
 def test_negative_head_rejected():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from damflow.assembly import LinearSolver
+from damflow.assembly import LinearSolver, _line_prolongation
 from damflow.errors import NonConvergence
 from damflow.nonlinear import newton_picard_solve
 
@@ -23,12 +23,17 @@ def _fixed_point_fns(n):
     return residual, jacobian, picard
 
 
+def _solver(n):
+    """A linear solver for n unknowns, coarsened as a line of n - 1 cells."""
+    return LinearSolver(_line_prolongation(n - 1))
+
+
 @pytest.mark.parametrize("method", ["newton", "picard"])
 def test_converges_to_fixed_point(method):
     n = 20
     residual, jacobian, picard = _fixed_point_fns(n)
     v0 = np.linspace(0.0, 1.5, n)
-    v, stats = newton_picard_solve(v0, residual, jacobian, picard, LinearSolver(),
+    v, stats = newton_picard_solve(v0, residual, jacobian, picard, _solver(n),
                                    method=method)
     np.testing.assert_allclose(v, _STAR, atol=1e-9)
     assert stats.residual_norm <= 1e-9 * (1.0 + stats.initial_residual_norm)
@@ -39,7 +44,7 @@ def test_tolerance_is_relative_to_initial_residual():
     n = 4
     residual, jacobian, picard = _fixed_point_fns(n)
     v0 = np.full(n, 0.5)
-    v, stats = newton_picard_solve(v0, residual, jacobian, picard, LinearSolver(),
+    v, stats = newton_picard_solve(v0, residual, jacobian, picard, _solver(n),
                                    tol_newton=1e-12)
     assert stats.residual_norm <= 1e-12 * (1.0 + stats.initial_residual_norm) * 10
 
@@ -57,7 +62,7 @@ def test_unsolvable_system_raises():
         return sp.identity(n, format="csr"), v  # fixed at v, no progress
 
     with pytest.raises(NonConvergence):
-        newton_picard_solve(np.zeros(n), residual, jacobian, picard, LinearSolver())
+        newton_picard_solve(np.zeros(n), residual, jacobian, picard, _solver(n))
 
 
 def _logged_fns(n, stalled):
@@ -89,7 +94,7 @@ def test_stalled_primary_path_falls_back_to_the_other(method):
     n = 20
     v0 = np.linspace(0.0, 1.5, n)
     residual, jacobian, picard, log = _logged_fns(n, stalled={method})
-    v, stats = newton_picard_solve(v0, residual, jacobian, picard, LinearSolver(),
+    v, stats = newton_picard_solve(v0, residual, jacobian, picard, _solver(n),
                                    method=method)
     np.testing.assert_allclose(v, _STAR, atol=1e-9)
     assert stats.method == f"{method}+{other}"
@@ -109,7 +114,7 @@ def test_both_paths_stalled_raises_naming_both(method):
     first, second = ("Newton", "Picard") if method == "newton" else ("Picard", "Newton")
     with pytest.raises(NonConvergence, match=f"{first} and {second} both stalled"):
         newton_picard_solve(np.linspace(0.0, 1.5, n), residual, jacobian, picard,
-                            LinearSolver(), method=method)
+                            _solver(n), method=method)
 
 
 def test_polish_breakdown_ends_the_polish_without_lu(monkeypatch):
@@ -128,7 +133,7 @@ def test_polish_breakdown_ends_the_polish_without_lu(monkeypatch):
     monkeypatch.setattr(assembly.spla, "bicgstab", breaks_down_in_polish)
     n = 20
     residual, jacobian, picard = _fixed_point_fns(n)
-    solver = LinearSolver()
+    solver = _solver(n)
     v, stats = newton_picard_solve(np.linspace(0.0, 1.5, n), residual, jacobian, picard,
                                    solver)
     assert polish_calls
@@ -146,7 +151,7 @@ def test_krylov_failure_outside_the_polish_is_rescued_by_lu(monkeypatch):
                         lambda A, b, **kwargs: (np.zeros_like(b), -10))
     n = 20
     residual, jacobian, picard = _fixed_point_fns(n)
-    solver = LinearSolver()
+    solver = _solver(n)
     v, stats = newton_picard_solve(np.linspace(0.0, 1.5, n), residual, jacobian, picard,
                                    solver)
     np.testing.assert_allclose(v, _STAR, atol=1e-9)

@@ -3,7 +3,7 @@ import pytest
 
 from damflow import (DamGeometry, InvalidArgument, PenaltyConfig, build_grid,
                      classify_boundary, hydrostatic_head, identity_field,
-                     layered_field, solve_stationary, two_reservoir_head)
+                     layered_field, make_barrier_data, solve_stationary, two_reservoir_head)
 from damflow import stationary
 from damflow.assembly import REFACTOR_EVERY_SOLVE_MIN_N, Q1Assembler
 from damflow.stationary import (TOL_NEG, TOL_NEWTON, DamOperator, assemble_stationary_residual,
@@ -39,16 +39,24 @@ def test_hydrostatic_exact_layered():
     assert np.max(np.abs(solve.v - np.maximum(0.5 - X2, 0.0))) <= 1.5 * 2e-2
 
 
+def _upper_barrier(n):
+    """The upper barrier head (K - eps0 - x2)+ with eps0 = 0.1.  K - eps0 lies
+    off the grid lines at n = 24, so its hydrostatic guess is no solution."""
+    geom = DamGeometry(1.0, 1.0)
+    grid = build_grid(geom, n, n)
+    phi = make_barrier_data(0.1, geom)[1]
+    return grid, classify_boundary(grid, phi), phi, identity_field(geom)
+
+
 def test_subgrid_eps_continuation_and_positivity():
-    grid, tags, phi, field = _setup(n=24)
+    grid, tags, phi, field = _upper_barrier(24)
     solve = solve_stationary(phi, field, grid, tags, PenaltyConfig(eps=5e-3))
     assert solve.diagnostics["continuation_steps"] > 1
     assert float(np.min(solve.v)) >= -TOL_NEG
-    assert solve.eps_used == 5e-3
 
 
 def test_initial_residual_norm_is_the_hydrostatic_guess_at_first_eps():
-    grid, tags, phi, field = _setup(n=24)
+    grid, tags, phi, field = _upper_barrier(24)
     solve = solve_stationary(phi, field, grid, tags, PenaltyConfig(eps=5e-3))
     phi_flat = dirichlet_values(grid, tags, phi).ravel()
     v0 = hydrostatic_initial_guess(grid, tags, phi_flat).reshape(grid.shape)
@@ -56,6 +64,26 @@ def test_initial_residual_norm_is_the_hydrostatic_guess_at_first_eps():
     r0 = assemble_stationary_residual(v0, field, grid, tags, first_eps)
     assert solve.diagnostics["initial_residual_norm"] == pytest.approx(np.linalg.norm(r0),
                                                                        rel=1e-12)
+
+
+@pytest.mark.parametrize("n, eps_cells, field_maker", [
+    (24, 5e-3 * 24, identity_field),
+    (48, 0.12, identity_field),
+    (64, 0.2, identity_field),
+    (32, 0.2, lambda g: layered_field(1.0, 1.0, 1.0, g)),
+])
+def test_exact_start_skips_the_eps_ladder(n, eps_cells, field_maker):
+    """A hydrostatic level on a grid line makes the guess exact once eps is
+    below the smallest quadrature-point pressure of the cells under it
+    (about 0.21 h2); walking down the ladder from it used to stall."""
+    grid, tags, phi, field = _setup(n=n, field_maker=field_maker)
+    eps = eps_cells * grid.h2
+    solve = solve_stationary(phi, field, grid, tags, PenaltyConfig(eps=eps))
+    assert eps < stationary._EPS_RESOLVED_CELLS * grid.h2
+    assert solve.diagnostics["continuation_steps"] == 1 and solve.newton_iters == 0
+    assert solve.diagnostics["initial_residual_norm"] <= TOL_NEWTON
+    _, X2 = grid.coords()
+    np.testing.assert_array_equal(solve.v, np.maximum(0.5 - X2, 0.0))
 
 
 def test_picard_method_converges():
