@@ -223,20 +223,18 @@ def apply_dirichlet_matrix(A, dirichlet_flat):
     return sp.csr_matrix((np.where(pinned, diag, A.data), A.indices, A.indptr), shape=A.shape)
 
 
-def apply_dirichlet_system(A, dirichlet_flat, values, rhs):
-    """Symmetric Dirichlet elimination: returns (A', rhs').
+def apply_dirichlet_system(A, dirichlet_flat):
+    """Symmetric Dirichlet elimination: rows AND columns of constrained
+    nodes become identity, so a symmetric A stays symmetric and conjugate
+    gradients applies.
 
-    Rows AND columns of constrained nodes are replaced by identity, with the
-    known values folded into the right-hand side, so a symmetric A stays
-    symmetric and conjugate gradients applies.
+    The result is the matrix of a correction whose right-hand side vanishes
+    on the pinned rows, so no known value has to move to the free rows.
     """
-    mask = np.asarray(dirichlet_flat, dtype=bool)
-    free = 1.0 - mask
-    x = np.where(mask, values, 0.0)
-    rhs = free * (rhs - A @ x) + x
     A = A.tocsr()
+    free = 1.0 - np.asarray(dirichlet_flat, dtype=bool)
     cols_free = sp.csr_matrix((A.data * free[A.indices], A.indices, A.indptr), shape=A.shape)
-    return apply_dirichlet_matrix(cols_free, mask), rhs
+    return apply_dirichlet_matrix(cols_free, dirichlet_flat)
 
 
 def _diagonal(A):

@@ -40,7 +40,8 @@ def main(argv=None):
     p_run.add_argument("config")
     p_run.add_argument("--out", help="output directory override")
 
-    p_val = sub.add_parser("validate", help="parse and validate a config without solving")
+    p_val = sub.add_parser("validate", help="parse and validate a config, solving the barrier "
+                           "problems that stationary-*/midpoint initial data need")
     p_val.add_argument("config")
 
     p_cmp = sub.add_parser("compare", help="uniqueness certificate for two run directories")
@@ -121,7 +122,7 @@ def _simulate(problem):
     econfig = EvolutionConfig(dt=problem.dt, n_steps=problem.n_steps, penalty=problem.penalty,
                               tol_newton=problem.tol_newton, method=problem.method)
     return solve_unsteady(problem.data, problem.field, problem.grid, problem.tags, econfig,
-                          v1eps=problem.barrier(1) if problem.project else None)
+                          v1eps=problem.barrier(1))
 
 
 def _write_trajectory(problem, traj, out):

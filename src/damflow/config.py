@@ -12,7 +12,7 @@ Recognized sections and keys:
   [data]         phi (hydrostatic|barrier-lower|barrier-upper|two-reservoir),
                  k, h_left, h_right, eps0, initial (hydrostatic|
                  stationary-lower|stationary-upper|midpoint|csv), initial_csv,
-                 M, project (bool)
+                 M
   [penalty]      eps
   [time]         T, dt
   [solver]       method (newton|picard), tol_newton
@@ -64,22 +64,12 @@ class RunConfig:
     def getint(self, section, key, default=None):
         return self._parse(section, key, default, int, "an integer")
 
-    def getbool(self, section, key, default=False):
-        return self._parse(section, key, default, _boolean,
-                           "one of " + "|".join(configparser.ConfigParser.BOOLEAN_STATES))
-
 
 def _finite_float(v):
     x = float(v)
     if not math.isfinite(x):
         raise ValueError(x)
     return x
-
-
-def _boolean(v):
-    if isinstance(v, bool):
-        return v
-    return configparser.ConfigParser.BOOLEAN_STATES[str(v).strip().lower()]
 
 
 def load_config(path):
@@ -121,7 +111,6 @@ class Problem:
     n_steps: int = 0
     method: str = "newton"
     tol_newton: float = TOL_NEWTON
-    project: bool = True
     every_n_steps: int = 1
 
 
@@ -211,6 +200,9 @@ def pose_problem(cfg):
     assumption report, penalty, head, tags, time grid and solver settings."""
     if cfg.getfloat("time", "reg", 0.0) != 0.0:
         raise ConfigError("time.reg (time regularization) is not supported; remove the key")
+    if cfg.get("data", "project") is not None:
+        raise ConfigError("data.project is not supported: the initial data are always "
+                          "clipped under the upper barrier; remove the key")
 
     # configparser lowercases keys, so L/K arrive as l/k
     geometry = DamGeometry(L=cfg.getfloat("geometry", "l", 1.0),
@@ -245,7 +237,6 @@ def pose_problem(cfg):
                    tags=classify_boundary(grid, phi), phi=phi, penalty=pen,
                    assumption_report=report, dt=dt, n_steps=n_steps, method=method,
                    tol_newton=tol_newton,
-                   project=cfg.getbool("data", "project", True),
                    every_n_steps=max(cfg.getint("output", "every_n_steps", 1), 1))
 
 

@@ -134,12 +134,12 @@ def step(state, stepper):
     solver = stepper.linsolver
     counts = solver.fallbacks, solver.krylov_iters, solver.coarse_factors
     for halvings in range(MAX_DT_RETRIES + 1):
-        u, chi, ledgers = grid.flatten(state.u), grid.flatten(state.chi), []
+        u, chi, substeps = grid.flatten(state.u), grid.flatten(state.chi), []
         try:
             for k in range(2 ** halvings):
                 chi = heaviside_eps(u, eps) if k else chi
                 u, op, stats = stepper.advance(u, chi, config.dt / 2 ** halvings)
-                ledgers.append(stepper.ledger(op, u))
+                substeps.append((stats, *stepper.ledger(op, u)))
             break
         except NonConvergence as exc:
             failure = exc
@@ -153,13 +153,14 @@ def step(state, stepper):
         raise StepFailure(f"pressure undershoot {u_min:.3e} at t={state.time + config.dt}",
                           step_index=index, residual_norm=stats.residual_norm)
     u = np.maximum(u, 0.0).reshape(grid.shape)
-    imbalance = sum(entry[0] for entry in ledgers)
-    scale = max(entry[2] for entry in ledgers)
+    # the sub-steps of the accepted attempt; failed attempts show only in
+    # the solver counters
+    solves, imbalances, inflows, scales = zip(*substeps)
     new = SolutionField(u=u, chi=heaviside_eps(u, eps), time=state.time + config.dt)
-    diag = StepDiagnostics(time=new.time, newton_iters=stats.iters,
-                           residual_norm=stats.residual_norm,
-                           mass_balance_rel=abs(imbalance) / scale,
-                           boundary_inflow=sum(entry[1] for entry in ledgers),
+    diag = StepDiagnostics(time=new.time, newton_iters=sum(st.iters for st in solves),
+                           residual_norm=max(st.residual_norm for st in solves),
+                           mass_balance_rel=abs(sum(imbalances)) / max(scales),
+                           boundary_inflow=sum(inflows),
                            method=stats.method, dt_halvings=halvings,
                            linear_fallbacks=solver.fallbacks - counts[0],
                            krylov_iters=solver.krylov_iters - counts[1],

@@ -51,6 +51,11 @@ class Grid:
     ny: int
 
     def __post_init__(self):
+        for name in ("nx", "ny"):
+            n = getattr(self, name)
+            if not float(n).is_integer():
+                raise InvalidArgument(f"{name} must be a whole number of cells, got {n}")
+            object.__setattr__(self, name, int(n))  # so n_nodes is an int too
         if self.nx < 2 or self.ny < 2:
             raise InvalidArgument(f"need at least 2 cells per axis, got nx={self.nx}, ny={self.ny}")
 
@@ -101,7 +106,7 @@ class BoundaryTags:
 
 def build_grid(geometry, nx, ny):
     """Build the uniform structured grid with nx*ny cells."""
-    return Grid(geometry=geometry, nx=int(nx), ny=int(ny))
+    return Grid(geometry=geometry, nx=nx, ny=ny)
 
 
 def classify_boundary(grid, phi):

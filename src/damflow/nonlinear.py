@@ -1,10 +1,10 @@
 """Shared nonlinear driver: semismooth Newton and damped Picard, each the
 fallback of the other.
 
-The penalized residuals are piecewise linear in the unknown, so Newton with
-a halving line search converges fast away from the ramp kinks; the relaxed
-Picard iteration (penalty terms frozen at the previous iterate) is the
-globally stable fallback.  Newton's linear solves are inexact, with
+Each step solves M(v) d = -r(v), with the Jacobian (Newton) or the symmetric
+frozen-saturation matrix (Picard), and halves the step from 1 (Newton) or
+PICARD_RELAX (Picard) until |r| falls; a path ends at the first step that
+finds no such point.  Newton's linear solves are inexact, with
 Eisenstat-Walker forcing terms.  Converged iterates are polished towards
 machine precision while progress lasts, which keeps fixed points of the
 time stepper and the per-step mass ledger tight; a polish step whose Krylov
@@ -45,7 +45,8 @@ def newton_picard_solve(v0, residual_fn, jacobian_fn, picard_fn, linsolver,
 
     residual_fn(v) -> residual vector (Dirichlet rows included as v - phi);
     jacobian_fn(v) -> sparse Jacobian with identity Dirichlet rows;
-    picard_fn(v) -> (symmetric matrix, rhs) of one frozen-penalty solve.
+    picard_fn(v) -> symmetric matrix P of one frozen-saturation solve
+    P d = -r(v), with identity rows and zero columns where v is pinned.
 
     ``method`` selects the primary path ("newton" or "picard"); when it
     stalls, the other path continues from where it stopped, and the method
@@ -83,6 +84,19 @@ def _forcing(rn, rn_last):
     return min(FORCING_MAX, FORCING_GAMMA * (rn / rn_last) ** 2)
 
 
+def _line_search(v, delta, step, residual_fn, rn):
+    """First of v + step*delta, step/2, ... (MAX_HALVINGS halvings) whose
+    residual norm is below rn, as (v, r, |r|); None if there is none."""
+    for _ in range(MAX_HALVINGS + 1):
+        v_try = v + step * delta
+        r_try = residual_fn(v_try)
+        rn_try = float(np.linalg.norm(r_try))
+        if rn_try < rn:
+            return v_try, r_try, rn_try
+        step *= 0.5
+    return None
+
+
 def _newton(v, r, residual_fn, jacobian_fn, picard_fn, linsolver, target, floor, max_iters):
     """Semismooth Newton with a halving line search; returns (v, r(v), stats)."""
     r0n = float(np.linalg.norm(r))
@@ -102,21 +116,12 @@ def _newton(v, r, residual_fn, jacobian_fn, picard_fn, linsolver, target, floor,
         it += 1
         if delta is None:
             break
-        step = 1.0
-        accepted = False
-        for _ in range(MAX_HALVINGS + 1):
-            v_try = v + step * delta
-            r_try = residual_fn(v_try)
-            rn_try = float(np.linalg.norm(r_try))
-            if rn_try < rn:
-                rn_last = rn
-                v, r, rn = v_try, r_try, rn_try
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        trial = _line_search(v, delta, 1.0, residual_fn, rn)
+        if trial is None:
             ls_failures += 1
             break
+        rn_last = rn
+        v, r, rn = trial
         # past the requested tolerance, polish only while converging fast
         if rn <= target and rn > 0.2 * rn_last:
             break
@@ -124,37 +129,18 @@ def _newton(v, r, residual_fn, jacobian_fn, picard_fn, linsolver, target, floor,
 
 
 def _picard(v, r, residual_fn, jacobian_fn, picard_fn, linsolver, target, floor, max_iters):
-    """Relaxed frozen-penalty iteration; returns the best iterate, its
-    residual and the stats."""
+    """Relaxed frozen-saturation iteration: P d = -r, then the halving line
+    search from PICARD_RELAX, which keeps it from oscillating across the
+    ramp; returns (v, r(v), stats)."""
     r0n = rn = float(np.linalg.norm(r))
-    best_v, best_r, best_rn = v, r, rn
-    stall = 0
+    ls_failures = 0
     it = 0
     while it < max_iters and rn > floor:
-        A, rhs = picard_fn(v)
-        # solving for the correction makes the Krylov tolerance relative to
-        # the defect, not to the whole right-hand side
-        v_lin = v + linsolver.solve(A, rhs - A @ v, symmetric=True)
-        # relaxation with backtracking: halve the mixing weight while the
-        # residual grows, so the iteration cannot oscillate across the ramp
-        omega = PICARD_RELAX
-        for _ in range(MAX_HALVINGS + 1):
-            v_next = v + omega * (v_lin - v)
-            r_next = residual_fn(v_next)
-            rn_next = float(np.linalg.norm(r_next))
-            if rn_next < rn:
-                break
-            omega *= 0.5
-        v, rn = v_next, rn_next
+        delta = linsolver.solve(picard_fn(v), -r, symmetric=True)
         it += 1
-        if rn < best_rn:
-            best_v, best_r, best_rn = v, r_next, rn
-            stall = 0
-        else:
-            stall += 1
-        # once inside tolerance, stop as soon as progress dries up
-        if best_rn <= target and stall >= 3:
+        trial = _line_search(v, delta, PICARD_RELAX, residual_fn, rn)
+        if trial is None:
+            ls_failures += 1
             break
-        if stall >= 20:
-            break
-    return best_v, best_r, SolveStats(it, best_rn, r0n, "picard")
+        v, r, rn = trial
+    return v, r, SolveStats(it, rn, r0n, "picard", ls_failures)

@@ -55,57 +55,43 @@ class DamOperator:
         self.dt = dt
         self.g_old = g_old
 
-    def _gravity(self, u):
-        return self.asm.gravity_vector(heaviside_eps(self.asm.interp_at_quad(u),
-                                                     self.penalty.eps))
-
-    def _storage(self, u):
-        return self.mlump * (g_eps(u, self.penalty) - self.g_old) / self.dt
-
-    def _storage_slope(self, u):
-        return self.mlump * g_eps_derivative(u, self.penalty) / self.dt
-
     def pde(self, u):
         """Weak-form rows at every node, pinned ones included."""
         r = self.asm.stiffness() @ u
         if self.mlump is not None:
-            r = self._storage(u) + r
-        return r + self._gravity(u)
+            r = self.mlump * (g_eps(u, self.penalty) - self.g_old) / self.dt + r
+        chi = heaviside_eps(self.asm.interp_at_quad(u), self.penalty.eps)
+        return r + self.asm.gravity_vector(chi)
 
     def residual(self, u):
         r = self.pde(u)
         r[self.pinned] = u[self.pinned] - self.values[self.pinned]
         return r
 
-    def _stiffness_plus(self, d):
-        """Stiffness plus diag(d) on the Q1 pattern; the stiffness if d is None."""
+    def _frozen(self, u):
+        """Stiffness plus the storage slope M g_eps'(u)/dt on the diagonal,
+        on the Q1 pattern; the stiffness itself without a storage term."""
         K = self.asm.stiffness()
-        if d is None:
+        if self.mlump is None:
             return K
         data = K.data.copy()
-        data[self.asm.diag_slot] += d
+        data[self.asm.diag_slot] += self.mlump * g_eps_derivative(u, self.penalty) / self.dt
         return self.asm.pattern_matrix(data)
 
     def jacobian(self, u):
         """Generalized derivative of ``residual``; identity rows where pinned."""
-        slope = None if self.mlump is None else self._storage_slope(u)
         dchi = heaviside_eps_derivative(self.asm.interp_at_quad(u), self.penalty.eps)
         J = self.asm.gravity_jacobian(dchi)
-        J.data += self._stiffness_plus(slope).data
+        J.data += self._frozen(u).data
         return apply_dirichlet_matrix(J, self.pinned)
 
     def picard(self, u):
-        """Frozen-saturation system (D + A) w = D u - storage(u) - gravity(u).
+        """Frozen-saturation matrix P: ``jacobian`` without the gravity term.
 
-        D is the storage slope at u (no storage: D = 0), so the matrix is
-        symmetric and the pinned nodes are eliminated symmetrically for CG.
+        P is symmetric and its pinned nodes are eliminated symmetrically, so
+        the Picard correction P d = -residual(u) is a CG solve.
         """
-        rhs = -self._gravity(u)
-        D = None
-        if self.mlump is not None:
-            D = self._storage_slope(u)
-            rhs = D * u - self._storage(u) + rhs
-        return apply_dirichlet_system(self._stiffness_plus(D), self.pinned, self.values, rhs)
+        return apply_dirichlet_system(self._frozen(u), self.pinned)
 
 
 def assemble_stationary_residual(v, field, grid, tags, config):

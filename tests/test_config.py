@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from damflow import stationary
-from damflow.config import (ConfigError, build_problem, load_config, output_dir)
+from damflow.config import (ConfigError, build_problem, load_config, output_dir, pose_problem)
 
 
 def _write(tmp_path, text, name="run.ini"):
@@ -114,6 +114,14 @@ def test_time_regularization_rejected(tmp_path):
     cfg = load_config(_write(tmp_path, text.format(reg=0.5), name="reg.ini"))
     with pytest.raises(ConfigError):
         build_problem(cfg)
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_data_project_rejected_whatever_its_value(tmp_path, value):
+    # the initial data are always clipped under the upper barrier
+    cfg = load_config(_write(tmp_path, BASE.replace("k = 0.5\n", f"k = 0.5\nproject = {value}\n")))
+    with pytest.raises(ConfigError, match="data.project"):
+        pose_problem(cfg)
 
 
 def test_unknown_permeability_kind_rejected(tmp_path):

@@ -199,7 +199,8 @@ def test_unsteady_run_reports_no_lu_fallback():
 
 def _recording_solve(monkeypatch, failures):
     """Patch the step's nonlinear solve to raise NonConvergence on its first
-    ``failures`` calls; returns the list of (dt, g_old, result) per call."""
+    ``failures`` calls; returns the list of (dt, g_old, (v, stats) or None)
+    per call."""
     original = evolution.newton_picard_solve
     calls = []
 
@@ -209,7 +210,7 @@ def _recording_solve(monkeypatch, failures):
             calls.append((op.dt, op.g_old.copy(), None))
             raise NonConvergence("injected", residual_norm=1.0)
         result = original(v0, residual_fn, *args, **kwargs)
-        calls.append((op.dt, op.g_old.copy(), result[0]))
+        calls.append((op.dt, op.g_old.copy(), result))
         return result
 
     monkeypatch.setattr(evolution, "newton_picard_solve", solve)
@@ -231,7 +232,11 @@ def test_failed_step_retries_with_half_the_step(monkeypatch):
     u0, chi0 = grid.flatten(data.u0), grid.flatten(data.chi0)
     np.testing.assert_array_equal(calls[0][1], pen.alpha * u0 + chi0)
     np.testing.assert_array_equal(calls[1][1], pen.alpha * u0 + chi0)
-    np.testing.assert_array_equal(calls[2][1], g_eps(calls[1][2], pen))
+    np.testing.assert_array_equal(calls[2][1], g_eps(calls[1][2][0], pen))
+    # the diagnostics cover both sub-steps of the accepted attempt
+    substeps = [c[2][1] for c in calls[1:]]
+    assert diag.newton_iters == sum(st.iters for st in substeps)
+    assert diag.residual_norm == max(st.residual_norm for st in substeps)
     final = traj.final
     assert final.time == pytest.approx(0.02)
     np.testing.assert_array_equal(final.chi, heaviside_eps(final.u, pen.eps))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from damflow import (DamGeometry, InvalidArgument, InvalidData, NodeKind,
+from damflow import (DamGeometry, Grid, InvalidArgument, InvalidData, NodeKind,
                      build_grid, classify_boundary, dirichlet_values,
                      hydrostatic_head)
 
@@ -17,6 +17,20 @@ def test_geometry_rejects_nonpositive_sides():
 def test_grid_needs_two_cells_per_axis(nx, ny):
     with pytest.raises(InvalidArgument):
         build_grid(DamGeometry(1.0, 1.0), nx, ny)
+
+
+@pytest.mark.parametrize("nx, ny", [(2.9, 4.5), (2.5, 3), (4, 3.5)])
+def test_grid_needs_whole_cell_counts(nx, ny):
+    with pytest.raises(InvalidArgument, match="whole number"):
+        build_grid(DamGeometry(1.0, 1.0), nx, ny)
+    with pytest.raises(InvalidArgument, match="whole number"):
+        Grid(DamGeometry(1.0, 1.0), nx, ny)
+
+
+def test_integral_cell_counts_are_stored_as_ints():
+    grid = Grid(DamGeometry(1.0, 1.0), 4.0, np.int64(3))
+    assert (grid.nx, grid.ny) == (4, 3) and type(grid.nx) is int and type(grid.ny) is int
+    assert type(grid.n_nodes) is int and grid.n_nodes == 20
 
 
 def test_grid_spacing_and_shape():

@@ -18,7 +18,8 @@ def _fixed_point_fns(n):
         return sp.diags(1.0 + np.sin(v)).tocsr()
 
     def picard(v):
-        return sp.identity(n, format="csr"), np.cos(v)
+        # P d = -r with P = I is the relaxed fixed-point step towards cos(v)
+        return sp.identity(n, format="csr")
 
     return residual, jacobian, picard
 
@@ -38,6 +39,8 @@ def test_converges_to_fixed_point(method):
     np.testing.assert_allclose(v, _STAR, atol=1e-9)
     assert stats.residual_norm <= 1e-9 * (1.0 + stats.initial_residual_norm)
     assert stats.iters >= 1
+    # every accepted step lowers |r|, so the returned iterate is the last one
+    assert np.linalg.norm(residual(v)) == stats.residual_norm
 
 
 def test_tolerance_is_relative_to_initial_residual():
@@ -59,7 +62,7 @@ def test_unsolvable_system_raises():
         return sp.identity(n, format="csr")
 
     def picard(v):
-        return sp.identity(n, format="csr"), v  # fixed at v, no progress
+        return sp.identity(n, format="csr")
 
     with pytest.raises(NonConvergence):
         newton_picard_solve(np.zeros(n), residual, jacobian, picard, _solver(n))
@@ -82,7 +85,7 @@ def _logged_fns(n, stalled):
     def logged_picard(v):
         log["picard"] += 1
         if "picard" in stalled:
-            return sp.identity(n, format="csr"), 2.0 * v - _STAR
+            return -sp.identity(n, format="csr")
         return picard(v)
 
     return logged_residual, logged_jacobian, logged_picard, log
@@ -101,6 +104,9 @@ def test_stalled_primary_path_falls_back_to_the_other(method):
     # one Jacobian build per Newton iteration, one Picard build per Picard one
     assert log["jacobian"] >= 1 and log["picard"] >= 1
     assert stats.iters == log["jacobian"] + log["picard"]
+    # the stalled path ends at its first failed line search
+    assert log["jacobian" if method == "newton" else "picard"] == 1
+    assert stats.line_search_failures == 1
     assert stats.initial_residual_norm == np.linalg.norm(v0 - np.cos(v0))
     assert stats.residual_norm <= 1e-9 * (1.0 + stats.initial_residual_norm)
     # the fallback starts from the residual the primary path left, at v0 here

@@ -27,7 +27,7 @@ EXPORTS = {
     "validate_initial",
 }
 
-KEYWORD_OPTIONS = 33
+KEYWORD_OPTIONS = 32
 
 
 def test_exported_names():
