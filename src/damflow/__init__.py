@@ -12,7 +12,7 @@ from .penalty import (PenaltyConfig, complementarity_bound, g_eps, g_eps_derivat
 from .problem_data import (OrderingReport, ProblemData, SolutionField, hydrostatic_head,
                            hydrostatic_profile, load_solution_csv, make_barrier_data,
                            two_reservoir_head, validate_initial)
-from .stationary import StationarySolve, assemble_stationary_residual, solve_stationary
+from .stationary import StationarySolve, solve_stationary
 from .evolution import EvolutionConfig, Trajectory, project_initial, solve_unsteady, step
 from .certify import (CertificateReport, DualSolver, EnergySeries, check_sandwich,
                       extract_free_boundary, gronwall_monitor, sign_check, steklov_average,

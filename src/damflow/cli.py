@@ -11,8 +11,8 @@ import os
 import sys
 
 from .certify import gronwall_monitor
-from .config import (ConfigError, build_problem, load_config, output_dir, pose_problem,
-                     resolve_path)
+from .config import (ConfigError, build_problem, check_keys, load_config, output_dir,
+                     pose_problem, resolve_path)
 from .errors import DamflowError, IncompatibleRuns, NonConvergence
 from .evolution import EvolutionConfig, Trajectory, solve_unsteady
 from .io import (atomic_write_text, read_json, snapshot_filename, write_energy_csv, write_json,
@@ -85,14 +85,12 @@ def cmd_validate(config_path):
 
 def cmd_run(config_path, out_override=None):
     cfg = load_config(config_path)
-    if cfg.mode == "sweep":
-        raise ConfigError("run.mode=sweep is driven by the `damflow sweep` command")
-    return _execute(cfg, cfg.mode, output_dir(cfg, out_override))[0]
+    return _execute(cfg, output_dir(cfg, out_override))[0]
 
 
-def _execute(cfg, mode, out):
-    """Build the problem, run the ``mode`` pipeline into ``out`` and write
-    its config.ini and summary.json; returns (exit code, summary)."""
+def _execute(cfg, out):
+    """Build the problem, run the pipeline ``[run] mode`` selects into ``out``
+    and write its config.ini and summary.json; returns (exit code, summary)."""
     problem = build_problem(cfg)
     os.makedirs(out, exist_ok=True)
     _write_config_ini(os.path.join(out, "config.ini"), cfg)
@@ -102,7 +100,7 @@ def _execute(cfg, mode, out):
                "alpha": problem.penalty.alpha,
                "eps": problem.penalty.eps,
                "assumptions": problem.assumption_report.as_dict(),
-               **PIPELINES[mode](problem, out)}
+               **PIPELINES[cfg.mode](problem, out)}
     write_json(os.path.join(out, "summary.json"), summary)
     return (EXIT_CHECK_FAILED if summary["failures"] else EXIT_OK), summary
 
@@ -225,6 +223,7 @@ def cmd_sweep(config_path, param, values, out_override=None):
     if "." not in param:
         raise ConfigError(f"--param must look like section.key, got {param!r}")
     section, key = param.split(".", 1)
+    check_keys({section: {key: None}})
     root = output_dir(cfg, out_override)
     os.makedirs(root, exist_ok=True)
 
@@ -233,9 +232,7 @@ def cmd_sweep(config_path, param, values, out_override=None):
         sub_cfg = load_config(config_path)
         sub_cfg.raw.setdefault(section, {})[key] = value
         sub_dir = os.path.join(root, f"{section}.{key}={value}")
-        # a sweep-mode config sweeps the unsteady pipeline
-        mode = "unsteady" if sub_cfg.mode == "sweep" else sub_cfg.mode
-        code, summary = _execute(sub_cfg, mode, sub_dir)
+        code, summary = _execute(sub_cfg, sub_dir)
         results.append({"value": value, "dir": sub_dir, "exit": code,
                         "complementarity_max": summary.get("complementarity_max")})
     write_json(os.path.join(root, "sweep_summary.json"),

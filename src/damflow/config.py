@@ -1,22 +1,8 @@
 """INI run configuration: parsing, fail-fast validation, problem building.
 
 The flat-sectioned key-value format keeps sweep directories diff-friendly.
-Recognized sections and keys:
-
-  [run]          mode (stationary|unsteady|certify|sweep)
-  [geometry]     L, K
-  [grid]         nx, ny
-  [permeability] kind (identity|layered|constant|csv), a11, a12, a22,
-                 a22_base, a22_slope, csv
-  [physics]      alpha
-  [data]         phi (hydrostatic|barrier-lower|barrier-upper|two-reservoir),
-                 k, h_left, h_right, eps0, initial (hydrostatic|
-                 stationary-lower|stationary-upper|midpoint|csv), initial_csv,
-                 M
-  [penalty]      eps
-  [time]         T, dt
-  [solver]       method (newton|picard), tol_newton
-  [output]       dir, every_n_steps
+``KEYS`` lists every section and key a config may hold; any other section or
+key is a ConfigError.
 """
 
 import configparser
@@ -33,7 +19,22 @@ from .penalty import PenaltyConfig
 from .problem_data import (ProblemData, hydrostatic_head, hydrostatic_profile,
                            load_solution_csv, make_barrier_data, two_reservoir_head)
 
-MODES = ("stationary", "unsteady", "certify", "sweep")
+MODES = ("stationary", "unsteady", "certify")
+
+# keys lowercased, as configparser reads them; README's schema table lists
+# the same sections and keys
+KEYS = {
+    "run": ("mode",),
+    "geometry": ("l", "k"),
+    "grid": ("nx", "ny"),
+    "permeability": ("kind", "a11", "a12", "a22", "a22_base", "a22_slope", "csv"),
+    "physics": ("alpha",),
+    "data": ("phi", "k", "h_left", "h_right", "eps0", "initial", "initial_csv", "m"),
+    "penalty": ("eps",),
+    "time": ("t", "dt"),
+    "solver": ("method", "tol_newton"),
+    "output": ("dir", "every_n_steps"),
+}
 
 
 class ConfigError(DamflowError):
@@ -74,7 +75,8 @@ def _finite_float(v):
 
 def load_config(path):
     """Parse an INI file into a RunConfig; raises ConfigError on any defect."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no default section: a [DEFAULT] section is read, and rejected, like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         read = parser.read(path)
         # values are interpolated here, so a lone "%" fails in this block
@@ -195,14 +197,23 @@ def build_initial(cfg, grid, barrier):
     raise ConfigError(f"unknown initial preset {preset!r}")
 
 
+def check_keys(raw):
+    """Raise a ConfigError naming every section.key of ``raw`` (a dict of
+    sections) that ``KEYS`` does not list; an empty unknown section is named
+    as [section]."""
+    unknown = [f"[{section}]" for section, entries in raw.items()
+               if section not in KEYS and not entries]
+    unknown += [f"{section}.{key}" for section, entries in raw.items() for key in entries
+                if key not in KEYS.get(section, ())]
+    if unknown:
+        raise ConfigError(f"unknown config keys {', '.join(unknown)}; see the schema table "
+                          "in README")
+
+
 def pose_problem(cfg):
     """Every part of a problem that takes no solve: geometry, grid, field,
     assumption report, penalty, head, tags, time grid and solver settings."""
-    if cfg.getfloat("time", "reg", 0.0) != 0.0:
-        raise ConfigError("time.reg (time regularization) is not supported; remove the key")
-    if cfg.get("data", "project") is not None:
-        raise ConfigError("data.project is not supported: the initial data are always "
-                          "clipped under the upper barrier; remove the key")
+    check_keys(cfg.raw)
 
     # configparser lowercases keys, so L/K arrive as l/k
     geometry = DamGeometry(L=cfg.getfloat("geometry", "l", 1.0),

@@ -7,6 +7,7 @@ partitioned into wet and dry Dirichlet parts by the sign of the boundary
 head.
 """
 
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -53,7 +54,7 @@ class Grid:
     def __post_init__(self):
         for name in ("nx", "ny"):
             n = getattr(self, name)
-            if not float(n).is_integer():
+            if not (isinstance(n, numbers.Real) and float(n).is_integer()):
                 raise InvalidArgument(f"{name} must be a whole number of cells, got {n}")
             object.__setattr__(self, name, int(n))  # so n_nodes is an int too
         if self.nx < 2 or self.ny < 2:

@@ -96,7 +96,8 @@ def test_validate_lone_percent_exit_2(tmp_path, capsys):
     ("time", "T", "1e308"), ("time", "T", "-1"), ("time", "T", "0"), ("time", "T", "0.001"),
     ("time", "dt", "0"), ("time", "dt", "inf"), ("physics", "alpha", "x"),
     ("penalty", "eps", "nan"), ("solver", "tol_newton", "x"), ("solver", "tol_newton", "-1"),
-    ("output", "every_n_steps", "x"), ("data", "project", "maybe")])
+    ("output", "every_n_steps", "x"), ("data", "project", "maybe"),
+    ("penalty", "epsilon", "1e-9"), ("solver", "tol_newtonn", "-1")])
 def test_validate_bad_value_exit_2_naming_the_key(tmp_path, capsys, section, key, value):
     parser = configparser.ConfigParser()
     parser.read_string(STATIONARY.format(out="out"))
@@ -274,3 +275,19 @@ def test_sweep_runs_each_value(tmp_path):
 def test_sweep_bad_param_exit_2(tmp_path):
     cfg, _ = _config(tmp_path, STATIONARY)
     assert main(["sweep", cfg, "--param", "noseparator", "--values", "1"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("param", ["penalty.epsilon", "solvers.method"])
+def test_sweep_unknown_param_exit_2_before_any_output(tmp_path, capsys, param):
+    cfg, out = _config(tmp_path, STATIONARY)
+    assert main(["sweep", cfg, "--param", param, "--values", "1", "2"]) == EXIT_CONFIG
+    assert param in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_sweep_mode_rejected(tmp_path, command):
+    cfg, out = _config(tmp_path, UNSTEADY.replace("mode = unsteady", "mode = sweep"))
+    extra = ["--param", "penalty.eps", "--values", "5e-2"] if command == "sweep" else []
+    assert main([command, cfg, *extra]) == EXIT_CONFIG
+    assert not os.path.exists(out)

@@ -1,11 +1,13 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
 
 from damflow import stationary
-from damflow.config import (ConfigError, build_problem, load_config, output_dir, pose_problem)
+from damflow.config import (KEYS, ConfigError, build_problem, load_config, output_dir,
+                            pose_problem)
 
 
 def _write(tmp_path, text, name="run.ini"):
@@ -109,11 +111,12 @@ def test_unknown_solver_method_rejected(tmp_path):
 
 
 def test_time_regularization_rejected(tmp_path):
-    text = BASE + "\n[time]\nT = 1.0\ndt = 0.5\nreg = {reg}\n"
-    assert build_problem(load_config(_write(tmp_path, text.format(reg=0.0)))).n_steps == 2
-    cfg = load_config(_write(tmp_path, text.format(reg=0.5), name="reg.ini"))
-    with pytest.raises(ConfigError):
-        build_problem(cfg)
+    # no time regularization is implemented, so even reg = 0 is refused
+    for reg in ("0.0", "0.5"):
+        text = BASE + f"\n[time]\nT = 1.0\ndt = 0.5\nreg = {reg}\n"
+        cfg = load_config(_write(tmp_path, text, name=f"reg{reg}.ini"))
+        with pytest.raises(ConfigError, match="time.reg"):
+            pose_problem(cfg)
 
 
 @pytest.mark.parametrize("value", ["true", "false"])
@@ -122,6 +125,30 @@ def test_data_project_rejected_whatever_its_value(tmp_path, value):
     cfg = load_config(_write(tmp_path, BASE.replace("k = 0.5\n", f"k = 0.5\nproject = {value}\n")))
     with pytest.raises(ConfigError, match="data.project"):
         pose_problem(cfg)
+
+
+@pytest.mark.parametrize("extra, name", [
+    ("[solvers]\nmethod = picard\n", "solvers.method"),
+    ("[Penalty]\neps = 1\n", "Penalty.eps"),
+    ("[DEFAULT]\neps = 1\n", "DEFAULT.eps"),
+    ("[extras]\n", "[extras]"),
+])
+def test_unknown_section_rejected(tmp_path, extra, name):
+    # unknown keys of known sections: tests/test_cli.py
+    cfg = load_config(_write(tmp_path, BASE + extra))
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        pose_problem(cfg)
+
+
+def test_readme_schema_table_lists_the_known_keys():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    table = readme.split("### Configuration schema (INI)", 1)[1]
+    rows = re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", table, flags=re.MULTILINE)
+    # a key's allowed values and remarks are parenthesized after it
+    documented = {section: tuple(key.lower() for key in re.findall(r"`(\w+)`",
+                                                                   re.sub(r"\([^)]*\)", "", keys)))
+                  for section, keys in rows}
+    assert documented == KEYS
 
 
 def test_unknown_permeability_kind_rejected(tmp_path):

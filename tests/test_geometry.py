@@ -19,7 +19,7 @@ def test_grid_needs_two_cells_per_axis(nx, ny):
         build_grid(DamGeometry(1.0, 1.0), nx, ny)
 
 
-@pytest.mark.parametrize("nx, ny", [(2.9, 4.5), (2.5, 3), (4, 3.5)])
+@pytest.mark.parametrize("nx, ny", [(2.9, 4.5), (2.5, 3), (4, 3.5), ("a", 3), (None, 3), ([3], 3)])
 def test_grid_needs_whole_cell_counts(nx, ny):
     with pytest.raises(InvalidArgument, match="whole number"):
         build_grid(DamGeometry(1.0, 1.0), nx, ny)

@@ -16,7 +16,7 @@ EXPORTS = {
     "IncompatibleRuns", "InvalidArgument", "InvalidData", "MalformedCSV", "NodeKind",
     "NonConvergence", "OrderingReport", "OutOfDomain", "PenaltyConfig", "PermeabilityField",
     "ProblemData", "SolutionField", "StationarySolve", "StepFailure", "SymTensor2",
-    "Trajectory", "assemble_stationary_residual", "build_grid", "check_sandwich",
+    "Trajectory", "build_grid", "check_sandwich",
     "classify_boundary", "complementarity_bound", "constant_anisotropic_field",
     "dirichlet_values", "eval_tensor", "extract_free_boundary", "g_eps", "g_eps_derivative",
     "grid_sampled_field", "gronwall_monitor", "heaviside_eps", "heaviside_eps_derivative",

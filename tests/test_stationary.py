@@ -6,8 +6,7 @@ from damflow import (DamGeometry, InvalidArgument, PenaltyConfig, build_grid,
                      layered_field, make_barrier_data, solve_stationary, two_reservoir_head)
 from damflow import stationary
 from damflow.assembly import REFACTOR_EVERY_SOLVE_MIN_N, Q1Assembler
-from damflow.stationary import (TOL_NEG, TOL_NEWTON, DamOperator, assemble_stationary_residual,
-                                hydrostatic_initial_guess)
+from damflow.stationary import TOL_NEG, TOL_NEWTON, DamOperator, hydrostatic_initial_guess
 from damflow.geometry import dirichlet_values
 from damflow.penalty import g_eps
 
@@ -59,9 +58,10 @@ def test_initial_residual_norm_is_the_hydrostatic_guess_at_first_eps():
     grid, tags, phi, field = _upper_barrier(24)
     solve = solve_stationary(phi, field, grid, tags, PenaltyConfig(eps=5e-3))
     phi_flat = dirichlet_values(grid, tags, phi).ravel()
-    v0 = hydrostatic_initial_guess(grid, tags, phi_flat).reshape(grid.shape)
+    v0 = hydrostatic_initial_guess(grid, tags, phi_flat)
     first_eps = PenaltyConfig(eps=stationary._EPS_RESOLVED_CELLS * grid.h2)
-    r0 = assemble_stationary_residual(v0, field, grid, tags, first_eps)
+    r0 = DamOperator(Q1Assembler(grid, field), first_eps, tags.dirichlet_mask.ravel(),
+                     v0).residual(v0)
     assert solve.diagnostics["initial_residual_norm"] == pytest.approx(np.linalg.norm(r0),
                                                                        rel=1e-12)
 
@@ -105,12 +105,36 @@ def _two_reservoir_dam(eps, method="newton"):
                             PenaltyConfig(eps=eps, alpha=0.0), method=method)
 
 
-def test_two_grid_stationary_solve_needs_no_lu_fallback():
+def _count_matrix_builds(monkeypatch):
+    """Record every DamOperator Jacobian and Picard matrix build."""
+    builds = []
+    for name in ("jacobian", "picard"):
+        def build(self, u, name=name, original=getattr(DamOperator, name)):
+            builds.append(name)
+            return original(self, u)
+        monkeypatch.setattr(DamOperator, name, build)
+    return builds
+
+
+def test_two_grid_stationary_solve_needs_no_lu_fallback(monkeypatch):
     # Jacobi-BiCGStab needed 3 LU factorizations on this solve
+    builds = _count_matrix_builds(monkeypatch)
     solve = _two_reservoir_dam(8e-3)
     assert solve.diagnostics["clamped_nodes"] > 0
     assert solve.diagnostics["linear_fallbacks"] == 0
     assert float(np.min(solve.v)) >= 0.0
+    # every rung and contact round counts, not just the last solve
+    assert solve.newton_iters == len(builds)
+
+
+def test_picard_request_reports_every_solve(monkeypatch):
+    builds = _count_matrix_builds(monkeypatch)
+    solve = _two_reservoir_dam(8e-3, method="picard")
+    assert solve.method.startswith("picard")
+    assert solve.newton_iters == len(builds)
+    assert "picard" in builds
+    # Picard's path ends at a failed line search before Newton takes over
+    assert solve.diagnostics["line_search_failures"] >= 1
 
 
 def test_picard_above_the_crossover_agrees_with_newton():
@@ -148,7 +172,8 @@ def test_converged_residual_small():
     grid, tags, phi, field = _setup(n=16)
     cfg = PenaltyConfig(eps=3e-2)
     solve = solve_stationary(phi, field, grid, tags, cfg)
-    r = assemble_stationary_residual(solve.v, field, grid, tags, cfg)
+    v = solve.v.ravel()
+    r = DamOperator(Q1Assembler(grid, field), cfg, tags.dirichlet_mask.ravel(), v).residual(v)
     free = ~tags.dirichlet_mask.ravel()
     # the active-set polish pins contact nodes (values at rounding level),
     # whose rows carry the nonnegative reaction; every other free row is
