@@ -9,14 +9,13 @@ from .permeability import (AssumptionReport, PermeabilityField, SymTensor2,
                            validate_assumptions)
 from .penalty import (PenaltyConfig, complementarity_bound, g_eps, g_eps_derivative,
                       heaviside_eps, heaviside_eps_derivative)
-from .problem_data import (OrderingReport, ProblemData, SolutionField, hydrostatic_head,
-                           hydrostatic_profile, load_solution_csv, make_barrier_data,
-                           two_reservoir_head, validate_initial)
+from .problem_data import (ProblemData, SolutionField, hydrostatic_head, hydrostatic_profile,
+                           load_solution_csv, make_barrier_data, two_reservoir_head)
 from .stationary import StationarySolve, solve_stationary
 from .evolution import EvolutionConfig, Trajectory, project_initial, solve_unsteady, step
-from .certify import (CertificateReport, DualSolver, EnergySeries, check_sandwich,
-                      extract_free_boundary, gronwall_monitor, sign_check, steklov_average,
-                      steklov_derivative)
+from .certify import (CertificateReport, DualSolver, EnergySeries, OrderingReport,
+                      check_sandwich, extract_free_boundary, gronwall_monitor, sign_check,
+                      steklov_average, steklov_derivative)
 from .errors import (AssumptionViolation, DamflowError, IncompatibleRuns, InvalidArgument,
                      InvalidData, MalformedCSV, NonConvergence, OutOfDomain, StepFailure)
 

@@ -154,9 +154,21 @@ def sign_check(traj1, traj2):
                for s1, s2 in zip(traj1.snapshots, traj2.snapshots))
 
 
+@dataclass(frozen=True)
+class OrderingReport:
+    """Max violations of a pointwise order interval."""
+
+    max_below_lower: float
+    max_above_upper: float
+    tol: float
+
+    @property
+    def passed(self):
+        return self.max_below_lower <= self.tol and self.max_above_upper <= self.tol
+
+
 def check_sandwich(u, lower, upper, tol):
     """Pointwise order check lower <= u <= upper up to tol."""
-    from .problem_data import OrderingReport
     below = float(np.max(np.asarray(lower) - np.asarray(u), initial=0.0))
     above = float(np.max(np.asarray(u) - np.asarray(upper), initial=0.0))
     return OrderingReport(max_below_lower=below, max_above_upper=above, tol=tol)

@@ -41,7 +41,8 @@ def main(argv=None):
     p_run.add_argument("--out", help="output directory override")
 
     p_val = sub.add_parser("validate", help="parse and validate a config, solving the barrier "
-                           "problems that stationary-*/midpoint initial data need")
+                           "problems that the stationary-*/midpoint initial data of an "
+                           "unsteady or certify run need")
     p_val.add_argument("config")
 
     p_cmp = sub.add_parser("compare", help="uniqueness certificate for two run directories")
@@ -111,7 +112,7 @@ def _run_stationary(problem, out):
                              method=problem.method)
     write_solution_csv(os.path.join(out, "solution.csv"), problem.grid, solve.solution_field())
     return {"mode": "stationary", "residual_norm": solve.residual_norm,
-            "newton_iters": solve.newton_iters, "method": solve.method,
+            "newton_iters": solve.newton_iters, "method": solve.method, **solve.diagnostics,
             "complete": True, "failures": []}
 
 

@@ -29,7 +29,7 @@ KEYS = {
     "grid": ("nx", "ny"),
     "permeability": ("kind", "a11", "a12", "a22", "a22_base", "a22_slope", "csv"),
     "physics": ("alpha",),
-    "data": ("phi", "k", "h_left", "h_right", "eps0", "initial", "initial_csv", "m"),
+    "data": ("phi", "k", "h_left", "h_right", "eps0", "initial", "initial_csv"),
     "penalty": ("eps",),
     "time": ("t", "dt"),
     "solver": ("method", "tol_newton"),
@@ -95,9 +95,10 @@ def load_config(path):
 class Problem:
     """Everything a pipeline needs, built and validated up front.
 
-    ``build_problem`` adds ``data`` and ``barrier`` to what ``pose_problem``
-    fills; ``barrier(k)`` is the lower (k = 0) or upper (k = 1) barrier's
-    stationary solve, made on first use and then kept.
+    ``eps0`` is the strip height of the barrier heads; ``barrier(k)`` is the
+    lower (k = 0) or upper (k = 1) barrier's stationary solve, made on first
+    use and then kept.  ``build_problem`` adds the initial ``data`` of a run
+    that steps.
     """
 
     geometry: DamGeometry
@@ -107,8 +108,9 @@ class Problem:
     phi: object
     penalty: PenaltyConfig
     assumption_report: object
+    eps0: float
+    barrier: object
     data: object = None
-    barrier: object = None
     dt: float = 0.0
     n_steps: int = 0
     method: str = "newton"
@@ -141,14 +143,14 @@ def build_field(cfg, geometry, grid):
     raise ConfigError(f"unknown permeability kind {kind!r}")
 
 
-def build_head(cfg, geometry):
+def build_head(cfg, geometry, eps0):
+    """The configured boundary head; ``eps0`` is ``[data] eps0``, None when unset."""
     preset = (cfg.get("data", "phi", "hydrostatic") or "hydrostatic").strip().lower()
     if preset == "hydrostatic":
         k = cfg.getfloat("data", "k")
         if k is None:
             raise ConfigError("data.phi=hydrostatic requires data.k")
         return hydrostatic_head(k)
-    eps0 = cfg.getfloat("data", "eps0")
     if preset in ("barrier-lower", "barrier-upper"):
         if eps0 is None:
             raise ConfigError(f"data.phi={preset} requires data.eps0")
@@ -167,7 +169,8 @@ def build_initial(cfg, grid, barrier):
     """Initial (u0, chi0) from the configured preset.
 
     Stationary-based presets solve the penalized barrier problems here, so
-    validation catches their failures before the time loop starts.
+    validation catches their failures before the time loop starts.  They
+    need ``[data] eps0`` set, not its default.
     """
     preset = (cfg.get("data", "initial", "hydrostatic") or "hydrostatic").strip().lower()
     if preset == "hydrostatic":
@@ -186,7 +189,7 @@ def build_initial(cfg, grid, barrier):
         sol = load_solution_csv(path, grid)
         return sol.u, sol.chi
     if preset in ("stationary-lower", "stationary-upper", "midpoint"):
-        if cfg.getfloat("data", "eps0") is None:
+        if cfg.get("data", "eps0") is None:
             raise ConfigError(f"data.initial={preset} requires data.eps0")
         if preset != "midpoint":
             s = barrier(int(preset == "stationary-upper"))
@@ -212,7 +215,8 @@ def check_keys(raw):
 
 def pose_problem(cfg):
     """Every part of a problem that takes no solve: geometry, grid, field,
-    assumption report, penalty, head, tags, time grid and solver settings."""
+    assumption report, penalty, head, tags, ``eps0`` and the barrier solves
+    (lazy), time grid and solver settings."""
     check_keys(cfg.raw)
 
     # configparser lowercases keys, so L/K arrive as l/k
@@ -223,7 +227,11 @@ def pose_problem(cfg):
     report = perm.validate_assumptions(field, grid)
     pen = PenaltyConfig(eps=cfg.getfloat("penalty", "eps", 1e-2),
                         alpha=cfg.getfloat("physics", "alpha", 0.0))
-    phi = build_head(cfg, geometry)
+    eps0 = cfg.getfloat("data", "eps0")
+    phi = build_head(cfg, geometry, eps0)
+    if eps0 is None:
+        eps0 = min(0.1, geometry.K / 4.0)
+    tags = classify_boundary(grid, phi)
 
     T = cfg.getfloat("time", "t", 1.0)
     dt = cfg.getfloat("time", "dt", grid.h2)
@@ -244,31 +252,29 @@ def pose_problem(cfg):
     if tol_newton <= 0:
         raise ConfigError(f"solver.tol_newton must be positive, got {tol_newton}")
 
-    return Problem(geometry=geometry, grid=grid, field=field,
-                   tags=classify_boundary(grid, phi), phi=phi, penalty=pen,
-                   assumption_report=report, dt=dt, n_steps=n_steps, method=method,
-                   tol_newton=tol_newton,
-                   every_n_steps=max(cfg.getint("output", "every_n_steps", 1), 1))
-
-
-def build_problem(cfg):
-    """Fail-fast construction of every object a pipeline touches."""
-    problem = pose_problem(cfg)
-    eps0 = cfg.getfloat("data", "eps0", min(0.1, problem.geometry.K / 4.0))
-
     @functools.cache
     def barrier(k):
         # looked up at call time, so a patched stationary.solve_stationary is seen
         from .stationary import solve_stationary
-        return solve_stationary(make_barrier_data(eps0, problem.geometry)[k], problem.field,
-                                problem.grid, problem.tags, problem.penalty,
-                                tol_newton=problem.tol_newton)
+        return solve_stationary(make_barrier_data(eps0, geometry)[k], field, grid, tags, pen,
+                                tol_newton=tol_newton)
 
-    problem.barrier = barrier
-    u0, chi0 = build_initial(cfg, problem.grid, barrier)
-    problem.data = ProblemData(alpha=problem.penalty.alpha, T_final=cfg.getfloat("time", "t", 1.0),
-                               eps0=eps0, phi=problem.phi, u0=u0, chi0=chi0,
-                               M=cfg.getfloat("data", "m", 0.0) or 0.0)
+    return Problem(geometry=geometry, grid=grid, field=field, tags=tags, phi=phi, penalty=pen,
+                   assumption_report=report, eps0=eps0, barrier=barrier, dt=dt,
+                   n_steps=n_steps, method=method, tol_newton=tol_newton,
+                   every_n_steps=max(cfg.getint("output", "every_n_steps", 1), 1))
+
+
+def build_problem(cfg):
+    """``pose_problem`` plus the initial pair of a run that steps: an
+    ``unsteady`` or ``certify`` run gets ``data``; a ``stationary`` run keeps
+    ``data`` None and reads no initial-data key."""
+    problem = pose_problem(cfg)
+    if cfg.mode in ("unsteady", "certify"):
+        u0, chi0 = build_initial(cfg, problem.grid, problem.barrier)
+        problem.data = ProblemData(alpha=problem.penalty.alpha,
+                                   T_final=cfg.getfloat("time", "t", 1.0),
+                                   eps0=problem.eps0, phi=problem.phi, u0=u0, chi0=chi0)
     return problem
 
 

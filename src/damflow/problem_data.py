@@ -1,14 +1,12 @@
 """Boundary heads, barrier data, initial data and the hydrostatic family."""
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidArgument, InvalidData
 from .io import read_solution_csv
-
-TOL_ORDER = 1e-9
 
 
 @dataclass
@@ -40,7 +38,6 @@ class ProblemData:
     phi: Callable
     u0: np.ndarray
     chi0: np.ndarray
-    M: float = dc_field(default=0.0)
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -49,10 +46,8 @@ class ProblemData:
             raise InvalidData(f"T must be positive, got {self.T_final}")
         self.u0 = np.asarray(self.u0, dtype=float)
         self.chi0 = np.asarray(self.chi0, dtype=float)
-        if not self.M:
-            self.M = float(np.max(self.u0, initial=0.0))
-        if np.any(self.u0 < 0) or np.any(self.u0 > self.M):
-            raise InvalidData("initial pressure must satisfy 0 <= u0 <= M at every node")
+        if np.any(self.u0 < 0):
+            raise InvalidData("initial pressure must satisfy u0 >= 0 at every node")
         if np.any(self.chi0 < 0) or np.any(self.chi0 > 1):
             raise InvalidData("initial saturation must lie in [0, 1] at every node")
 
@@ -114,32 +109,6 @@ def hydrostatic_profile(k, grid):
     u = np.maximum(k - X2, 0.0)
     chi = np.where(X2 < k, 1.0, 0.0)
     return SolutionField(u=u, chi=chi, time=0.0)
-
-
-@dataclass(frozen=True)
-class OrderingReport:
-    """Max violations of a pointwise order interval."""
-
-    max_below_lower: float
-    max_above_upper: float
-    tol: float
-
-    @property
-    def passed(self):
-        return self.max_below_lower <= self.tol and self.max_above_upper <= self.tol
-
-
-def validate_initial(data, v0, v1, gamma0, gamma1):
-    """Check the initial pair lies in the stationary order interval.
-
-    Reports the worst violations of v0 <= u0 <= v1 and gamma0 <= chi0 <=
-    gamma1; passes iff both are within TOL_ORDER.
-    """
-    below = max(float(np.max(v0 - data.u0, initial=0.0)),
-                float(np.max(gamma0 - data.chi0, initial=0.0)))
-    above = max(float(np.max(data.u0 - v1, initial=0.0)),
-                float(np.max(data.chi0 - gamma1, initial=0.0)))
-    return OrderingReport(max_below_lower=below, max_above_upper=above, tol=TOL_ORDER)
 
 
 def load_solution_csv(path, grid, time=0.0):

@@ -116,6 +116,7 @@ def hydrostatic_initial_guess(grid, tags, phi_flat):
 # continuation kicks in once the penalty ramp is thinner than this many cells
 _EPS_RESOLVED_CELLS = 0.7
 _EPS_LADDER_RATIO = 0.65
+_CONTACT_ROUNDS = 10
 
 
 def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON, method="newton"):
@@ -125,8 +126,9 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON, meth
     chi is H_eps(v) nodally.  Subgrid eps is reached by continuation in eps
     (warm-started ladder) unless the hydrostatic guess already meets
     ``tol_newton`` at eps, and residual nodal negativity beyond TOL_NEG is
-    removed by contact rounds, so the returned v is nonnegative up to
-    rounding.  ``newton_iters`` and ``line_search_failures`` sum over every
+    removed by at most ``_CONTACT_ROUNDS`` contact rounds, so the returned v
+    is nonnegative up to rounding; contact rounds that do not settle raise
+    NonConvergence.  ``newton_iters`` and ``line_search_failures`` sum over every
     nonlinear solve (rungs, target eps and contact rounds); ``method`` is
     that of the solve at eps.
     """
@@ -170,14 +172,21 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON, meth
     # reaction r >= 0 on every clamped node.  The rounds run Newton whatever
     # the method: Picard rounds cost 0.88 -> 1.11 s (eps = 1e-2) and
     # 1.17 -> 1.41 s (eps = 8e-3) on the two-reservoir dam at 128x64.
+    # A loop that runs out raises rather than return a solution that carries
+    # the unsettled reactions as mass.
     contact_values = np.where(dmask, phi_flat, 0.0)
     active = np.zeros(v.size, dtype=bool)
-    for _ in range(10):
+    for rounds in range(_CONTACT_ROUNDS + 1):
         r = op.residual(v)
         grow = (v < -TOL_NEG) & ~dmask & ~active
         release = active & (r < -TOL_NEG)
         if not grow.any() and not release.any():
             break
+        if rounds == _CONTACT_ROUNDS:
+            raise NonConvergence(f"contact rounds did not settle in {_CONTACT_ROUNDS} rounds: "
+                                 f"{int(grow.sum())} nodes still to clamp, "
+                                 f"{int(release.sum())} to release",
+                                 residual_norm=solves[-1].residual_norm)
         active = (active | grow) & ~release
         v = solve(DamOperator(asm, config, dmask | active, contact_values),
                   np.where(active, 0.0, v), "newton")

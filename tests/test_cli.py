@@ -5,7 +5,9 @@ import shutil
 
 import pytest
 
-from damflow import DamGeometry, build_grid, cli, hydrostatic_profile
+from damflow import (DamGeometry, NonConvergence, build_grid, cli, hydrostatic_profile,
+                     solve_stationary)
+from damflow.config import load_config, pose_problem
 from damflow.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
                          EXIT_SOLVER, EXIT_VALIDATION, main)
 from damflow.io import write_solution_csv
@@ -64,6 +66,29 @@ dt = 0.02
 dir = {out}
 """
 
+# the classical dam: no [data] k, initial or eps0, which a stationary run
+# never reads
+TWO_RESERVOIR = """
+[geometry]
+L = 2.0
+K = 1.0
+
+[grid]
+nx = 32
+ny = 16
+
+[data]
+phi = two-reservoir
+h_left = 0.9
+h_right = 0.2
+
+[penalty]
+eps = {eps}
+
+[output]
+dir = {{out}}
+"""
+
 
 def _config(tmp_path, template, name="run.ini", outname="out"):
     path = tmp_path / name
@@ -96,7 +121,7 @@ def test_validate_lone_percent_exit_2(tmp_path, capsys):
     ("time", "T", "1e308"), ("time", "T", "-1"), ("time", "T", "0"), ("time", "T", "0.001"),
     ("time", "dt", "0"), ("time", "dt", "inf"), ("physics", "alpha", "x"),
     ("penalty", "eps", "nan"), ("solver", "tol_newton", "x"), ("solver", "tol_newton", "-1"),
-    ("output", "every_n_steps", "x"), ("data", "project", "maybe"),
+    ("output", "every_n_steps", "x"), ("data", "project", "maybe"), ("data", "M", "0.1"),
     ("penalty", "epsilon", "1e-9"), ("solver", "tol_newtonn", "-1")])
 def test_validate_bad_value_exit_2_naming_the_key(tmp_path, capsys, section, key, value):
     parser = configparser.ConfigParser()
@@ -129,6 +154,27 @@ def test_stationary_run_artifacts_and_determinism(tmp_path):
     cfg2, out2 = _config(tmp_path, STATIONARY, name="run2.ini", outname="out2")
     assert main(["run", cfg2]) == EXIT_OK
     assert open(os.path.join(out2, "solution.csv"), "rb").read() == first
+
+
+def test_two_reservoir_run_reports_its_stationary_solve(tmp_path):
+    cfg, out = _config(tmp_path, TWO_RESERVOIR.format(eps=3e-2))
+    assert main(["validate", cfg]) == EXIT_OK
+    assert main(["run", cfg]) == EXIT_OK
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    assert summary["clamped_nodes"] > 0
+    assert summary["continuation_steps"] > 1
+    assert {"newton_iters", "method", "krylov_iters", "line_search_failures"} <= set(summary)
+
+
+def test_contact_rounds_that_run_out_exit_4(tmp_path):
+    # at 32x16 and eps = 1e-2 the contact set keeps changing for all rounds;
+    # the fall-through used to return that solution with exit 0
+    cfg, out = _config(tmp_path, TWO_RESERVOIR.format(eps=1e-2))
+    p = pose_problem(load_config(cfg))
+    with pytest.raises(NonConvergence, match="contact rounds"):
+        solve_stationary(p.phi, p.field, p.grid, p.tags, p.penalty)
+    assert main(["run", cfg]) == EXIT_SOLVER
+    assert not os.path.exists(os.path.join(out, "summary.json"))
 
 
 def test_unsteady_run_writes_snapshots(tmp_path):

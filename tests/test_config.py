@@ -55,7 +55,9 @@ def test_build_problem_defaults(tmp_path):
     assert problem.grid.nx == 8
     assert problem.penalty.eps == pytest.approx(3e-2)
     assert problem.method == "newton"
-    assert problem.data.alpha == 0.0
+    # a stationary run builds no initial data; eps0 is posed with its default
+    assert problem.data is None
+    assert problem.eps0 == pytest.approx(0.1)
     assert problem.assumption_report.div_sign_ok
 
 
@@ -74,8 +76,8 @@ def test_hydrostatic_head_requires_level(tmp_path):
 
 
 def test_barrier_head_preset(tmp_path):
-    text = BASE.replace("phi = hydrostatic\nk = 0.5",
-                        "phi = barrier-upper\neps0 = 0.2\ninitial = stationary-upper")
+    text = BASE.replace("mode = stationary", "mode = unsteady").replace(
+        "phi = hydrostatic\nk = 0.5", "phi = barrier-upper\neps0 = 0.2\ninitial = stationary-upper")
     cfg = load_config(_write(tmp_path, text))
     problem = build_problem(cfg)
     assert problem.phi(0.0, 0.0) == pytest.approx(0.8)
@@ -93,8 +95,8 @@ def test_tol_newton_reaches_the_barrier_solves(tmp_path, monkeypatch):
         return solve_stationary(*args, **kwargs)
 
     monkeypatch.setattr(stationary, "solve_stationary", spy)
-    text = BASE.replace("phi = hydrostatic\nk = 0.5",
-                        "phi = barrier-upper\neps0 = 0.2\ninitial = midpoint") \
+    text = BASE.replace("mode = stationary", "mode = unsteady").replace(
+        "phi = hydrostatic\nk = 0.5", "phi = barrier-upper\neps0 = 0.2\ninitial = midpoint") \
         + "\n[solver]\ntol_newton = 1e-7\n"
     problem = build_problem(load_config(_write(tmp_path, text)))
     assert seen == [1e-7, 1e-7]

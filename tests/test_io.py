@@ -20,6 +20,9 @@ GOLDEN = b"""i,j,x1,x2,u,chi
 """
 
 INITIAL_CSV_CONFIG = """
+[run]
+mode = unsteady
+
 [grid]
 nx = 2
 ny = 2

@@ -4,7 +4,7 @@ import pytest
 from damflow import (DamGeometry, InvalidArgument, InvalidData, ProblemData,
                      build_grid, hydrostatic_head, hydrostatic_profile,
                      make_barrier_data, two_reservoir_head)
-from damflow.problem_data import SolutionField, validate_initial
+from damflow.problem_data import SolutionField
 
 
 def _grid():
@@ -23,13 +23,6 @@ def test_problem_data_validation():
     with pytest.raises(InvalidData):
         ProblemData(alpha=0.0, T_final=1.0, eps0=0.1, phi=hydrostatic_head(0.5),
                     u0=u0, chi0=chi0 + 2.0)
-
-
-def test_auto_pressure_bound_from_initial_data():
-    u0 = np.array([[0.0, 0.3], [0.7, 0.2]])
-    data = ProblemData(alpha=0.1, T_final=1.0, eps0=0.1, phi=hydrostatic_head(0.5),
-                      u0=u0, chi0=np.ones_like(u0))
-    assert data.M == pytest.approx(0.7)
 
 
 def test_barrier_heads():
@@ -71,19 +64,3 @@ def test_complementarity_residual():
     chi = np.array([[1.0, 0.0], [0.5, 1.0]])
     f = SolutionField(u=u, chi=chi, time=0.0)
     assert f.complementarity_residual() == pytest.approx(0.05)
-
-
-def test_validate_initial_order_interval():
-    grid = _grid()
-    lo = hydrostatic_profile(0.2, grid)
-    hi = hydrostatic_profile(0.8, grid)
-    mid = hydrostatic_profile(0.5, grid)
-    data = ProblemData(alpha=0.0, T_final=1.0, eps0=0.2, phi=hydrostatic_head(0.5),
-                      u0=mid.u, chi0=mid.chi)
-    rep = validate_initial(data, lo.u, hi.u, lo.chi, hi.chi)
-    assert rep.passed
-    bad = ProblemData(alpha=0.0, T_final=1.0, eps0=0.2, phi=hydrostatic_head(0.5),
-                      u0=hi.u, chi0=hi.chi)
-    rep2 = validate_initial(bad, lo.u, mid.u, lo.chi, mid.chi)
-    assert not rep2.passed
-    assert rep2.max_above_upper > 0.0

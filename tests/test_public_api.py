@@ -24,7 +24,6 @@ EXPORTS = {
     "load_field_csv", "load_solution_csv", "make_barrier_data", "project_initial",
     "sign_check", "smooth_field", "solve_stationary", "solve_unsteady", "steklov_average",
     "steklov_derivative", "step", "two_reservoir_head", "validate_assumptions",
-    "validate_initial",
 }
 
 KEYWORD_OPTIONS = 32
