@@ -3,10 +3,9 @@ dam problem in a heterogeneous rectangular porous medium."""
 
 from .geometry import (BoundaryTags, DamGeometry, Grid, NodeKind, build_grid,
                        classify_boundary, dirichlet_values)
-from .permeability import (AssumptionReport, PermeabilityField, SymTensor2,
-                           constant_anisotropic_field, eval_tensor, grid_sampled_field,
-                           identity_field, layered_field, load_field_csv, smooth_field,
-                           validate_assumptions)
+from .permeability import (AssumptionReport, PermeabilityField, constant_anisotropic_field,
+                           grid_sampled_field, identity_field, layered_field, load_field_csv,
+                           smooth_field, validate_assumptions)
 from .penalty import (PenaltyConfig, complementarity_bound, g_eps, g_eps_derivative,
                       heaviside_eps, heaviside_eps_derivative)
 from .problem_data import (ProblemData, SolutionField, hydrostatic_head, hydrostatic_profile,
@@ -17,6 +16,6 @@ from .certify import (CertificateReport, DualSolver, EnergySeries, OrderingRepor
                       check_sandwich, extract_free_boundary, gronwall_monitor, sign_check,
                       steklov_average, steklov_derivative)
 from .errors import (AssumptionViolation, DamflowError, IncompatibleRuns, InvalidArgument,
-                     InvalidData, MalformedCSV, NonConvergence, OutOfDomain, StepFailure)
+                     InvalidData, MalformedCSV, NonConvergence, StepFailure)
 
 __version__ = "0.1.0"

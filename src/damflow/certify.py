@@ -177,48 +177,40 @@ def check_sandwich(u, lower, upper, tol):
 def extract_free_boundary(solution, grid, level=0.5):
     """Per-column interface height: largest x2 where chi crosses ``level``.
 
-    Returns (heights, status) with status in {"wet", "dry", "interface"};
-    fully wet columns report height K, fully dry columns 0.
+    The crossing lies in the topmost cell [x2_j, x2_{j+1}] of the column
+    whose end values chi - level bracket 0 and differ, at the linear
+    interpolant's zero.  Returns (heights, status) with status in {"wet",
+    "dry", "interface"}; columns without a crossing report height K if chi
+    >= level throughout (wet) and 0 otherwise (dry).
     """
     if not (0.0 < level < 1.0):
         raise InvalidArgument(f"level must lie in (0, 1), got {level}")
     chi = np.asarray(solution.chi, dtype=float)
-    K = grid.geometry.K
-    heights = np.empty(grid.nx + 1)
-    status = []
+    lo, hi = chi[:-1] - level, chi[1:] - level
+    brackets = (lo != hi) & (np.minimum(lo, hi) <= 0.0) & (np.maximum(lo, hi) >= 0.0)
+    has = brackets.any(axis=0)
+    wet = np.all(chi >= level, axis=0)
+    heights = np.where(wet, grid.geometry.K, 0.0)
+    crossing = np.flatnonzero(has)
+    j = grid.ny - 1 - np.argmax(brackets[::-1, crossing], axis=0)
+    lo, hi = lo[j, crossing], hi[j, crossing]
     x2 = np.arange(grid.ny + 1) * grid.h2
-    for i in range(grid.nx + 1):
-        col = chi[:, i]
-        crossing = None
-        for j in range(grid.ny - 1, -1, -1):
-            lo, hi = col[j] - level, col[j + 1] - level
-            if lo == hi:
-                continue
-            if (lo >= 0.0 >= hi) or (lo <= 0.0 <= hi):
-                frac = lo / (lo - hi)
-                crossing = x2[j] + frac * grid.h2
-                break
-        if crossing is not None:
-            heights[i] = crossing
-            status.append("interface")
-        elif np.all(col >= level):
-            heights[i] = K
-            status.append("wet")
-        else:
-            heights[i] = 0.0
-            status.append("dry")
+    heights[crossing] = x2[j] + lo / (lo - hi) * grid.h2
+    status = ["interface" if c else "wet" if w else "dry" for c, w in zip(has, wet)]
     return heights, status
 
 
-def _check_aligned(traj1, traj2):
+def _check_aligned(traj1, traj2, grid):
     if len(traj1.snapshots) != len(traj2.snapshots):
         raise InvalidArgument("trajectories have different lengths")
     t1 = np.asarray(traj1.times)
     t2 = np.asarray(traj2.times)
     if not np.allclose(t1, t2, rtol=0, atol=1e-12 * max(1.0, float(t1[-1]))):
         raise InvalidArgument("trajectories are sampled at different times")
-    if traj1.snapshots[0].u.shape != traj2.snapshots[0].u.shape:
-        raise InvalidArgument("trajectories live on different grids")
+    off_grid = [s.u.shape for s in traj1.snapshots + traj2.snapshots if s.u.shape != grid.shape]
+    if off_grid:
+        raise InvalidArgument(f"snapshots of shape {off_grid[0]} are not on the grid "
+                              f"of shape {grid.shape}")
 
 
 def gronwall_monitor(traj1, traj2, field, grid, tags, alpha):
@@ -229,7 +221,7 @@ def gronwall_monitor(traj1, traj2, field, grid, tags, alpha):
     |u| of either trajectory: the discrete expression of "zero dual energy
     forces equal solutions".
     """
-    _check_aligned(traj1, traj2)
+    _check_aligned(traj1, traj2, grid)
     dual = DualSolver(field, grid, tags)
 
     times = np.asarray(traj1.times, dtype=float)

@@ -21,10 +21,6 @@ class MalformedCSV(InvalidData, InvalidArgument):
     """
 
 
-class OutOfDomain(DamflowError):
-    """A point lies outside the closed computational rectangle."""
-
-
 class AssumptionViolation(DamflowError):
     """A coefficient-field assumption failed at a sampled point."""
 

@@ -54,6 +54,7 @@ class StepDiagnostics:
     linear_fallbacks: int = 0
     krylov_iters: int = 0
     coarse_factors: int = 0
+    line_search_failures: int = 0
 
 
 @dataclass
@@ -164,7 +165,8 @@ def step(state, stepper):
                            method=stats.method, dt_halvings=halvings,
                            linear_fallbacks=solver.fallbacks - counts[0],
                            krylov_iters=solver.krylov_iters - counts[1],
-                           coarse_factors=solver.coarse_factors - counts[2])
+                           coarse_factors=solver.coarse_factors - counts[2],
+                           line_search_failures=sum(st.line_search_failures for st in solves))
     return new, diag
 
 
@@ -172,11 +174,14 @@ def solve_unsteady(data, field, grid, tags, config, v1eps=None):
     """Time-step the penalized problem from data's initial pair, clipped
     first under the penalized upper barrier ``v1eps`` when one is given."""
     u0, chi0 = data.u0, data.chi0
+    for name, initial in (("u0", u0), ("chi0", chi0)):
+        if np.shape(initial) != grid.shape:
+            raise InvalidArgument(f"{name} of shape {np.shape(initial)} is not on the grid "
+                                  f"of shape {grid.shape}")
     if v1eps is not None:
         u0, chi0 = project_initial(data, v1eps, config.penalty)
     stepper = _Stepper(field, grid, tags, data.phi, config)
-    state = SolutionField(u=np.asarray(u0, dtype=float).reshape(grid.shape),
-                          chi=np.asarray(chi0, dtype=float).reshape(grid.shape), time=0.0)
+    state = SolutionField(u=u0, chi=chi0, time=0.0)
     traj = Trajectory(times=[0.0], snapshots=[state], diagnostics=[])
     for _ in range(config.n_steps):
         state, diag = step(state, stepper)

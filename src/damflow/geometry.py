@@ -115,23 +115,17 @@ def classify_boundary(grid, phi):
 
     The bottom edge (j=0, corners included) is impervious.  Every other
     boundary node is wet iff phi at the node is strictly positive, dry iff it
-    is zero.  A negative head anywhere on the pervious boundary is rejected.
+    is zero.  A negative, NaN or infinite head anywhere on the pervious
+    boundary is rejected.
     """
-    X1, X2 = grid.coords()
     kind = np.full(grid.shape, NodeKind.INTERIOR, dtype=np.int8)
-
     boundary = np.zeros(grid.shape, dtype=bool)
     boundary[0, :] = boundary[-1, :] = True
     boundary[:, 0] = boundary[:, -1] = True
 
     pervious = boundary.copy()
     pervious[0, :] = False
-
-    head = np.zeros(grid.shape)
-    head[pervious] = np.vectorize(phi)(X1[pervious], X2[pervious])
-    if np.any(head[pervious] < 0):
-        j, i = np.argwhere(pervious & (head < 0))[0]
-        raise InvalidData(f"negative boundary head {head[j, i]} at node ({X1[j, i]}, {X2[j, i]})")
+    head = _head_at(grid, pervious, phi)
 
     kind[0, :] = NodeKind.IMPERVIOUS
     kind[pervious] = np.where(head[pervious] > 0.0, NodeKind.DIRICHLET_WET, NodeKind.DIRICHLET_DRY)
@@ -139,9 +133,27 @@ def classify_boundary(grid, phi):
 
 
 def dirichlet_values(grid, tags, phi):
-    """Nodal array holding phi at Dirichlet nodes and 0 elsewhere."""
+    """Nodal array holding phi at Dirichlet nodes and 0 elsewhere: the values
+    a solve pins.
+
+    Raises InvalidArgument when ``tags`` are not on ``grid`` and InvalidData
+    for a head that is negative, NaN or infinite.
+    """
+    if tags.kind.shape != grid.shape:
+        raise InvalidArgument(f"boundary tags of shape {tags.kind.shape} are not on the grid "
+                              f"of shape {grid.shape}")
+    return _head_at(grid, tags.dirichlet_mask, phi)
+
+
+def _head_at(grid, mask, phi):
+    """phi at the ``mask`` nodes, 0 elsewhere; a head that is negative, NaN or
+    infinite raises InvalidData."""
     X1, X2 = grid.coords()
-    vals = np.zeros(grid.shape)
-    mask = tags.dirichlet_mask
-    vals[mask] = np.vectorize(phi)(X1[mask], X2[mask])
-    return vals
+    head = np.zeros(grid.shape)
+    head[mask] = np.vectorize(phi, otypes=[float])(X1[mask], X2[mask])
+    bad = ~((head >= 0) & np.isfinite(head))
+    if np.any(bad):
+        j, i = np.argwhere(bad)[0]
+        raise InvalidData(f"boundary head {head[j, i]} at node ({X1[j, i]}, {X2[j, i]}) "
+                          f"is not a finite number >= 0")
+    return head

@@ -1,60 +1,34 @@
 """Heterogeneous symmetric permeability tensors and assumption checks.
 
 A permeability field maps points of the closed rectangle to symmetric
-positive-definite 2x2 tensors.  Built-in kinds cover the identity, layered
-diagonal fields affine in x2, smooth analytic fields, and fields sampled on
-a grid with bilinear interpolation (loadable from CSV).
+positive-definite 2x2 tensors, given by their three entries (a11, a12, a22).
+Built-in kinds cover the identity, layered diagonal fields affine in x2,
+smooth analytic fields, and fields sampled on a grid with bilinear
+interpolation (loadable from CSV).  ``validate_assumptions`` is the one check
+of a field against the hypotheses of the uniqueness theorem.
 """
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import AssumptionViolation, OutOfDomain
+from .errors import AssumptionViolation, InvalidArgument
 from .io import read_field_csv
 
 TOL_DIV = 1e-10
 
 
 @dataclass(frozen=True)
-class SymTensor2:
-    """Symmetric 2x2 tensor; a21 is structurally identical to a12."""
-
-    a11: float
-    a12: float
-    a22: float
-
-    @property
-    def det(self):
-        return self.a11 * self.a22 - self.a12 ** 2
-
-    def is_positive_definite(self):
-        return self.a11 > 0 and self.det > 0
-
-    def apply(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return np.array([self.a11 * xi[0] + self.a12 * xi[1],
-                         self.a12 * xi[0] + self.a22 * xi[1]])
-
-    def eigenvalues(self):
-        tr = self.a11 + self.a22
-        disc = np.sqrt((self.a11 - self.a22) ** 2 / 4.0 + self.a12 ** 2)
-        return tr / 2.0 - disc, tr / 2.0 + disc
-
-
-@dataclass(frozen=True)
 class PermeabilityField:
-    """Tensor-valued coefficient field on the closed rectangle.
+    """Tensor-valued coefficient field on the closed rectangle ``geometry``.
 
     ``tensor`` evaluates (a11, a12, a22) on numpy arrays of coordinates.
-    ``div_ae`` is the analytic divergence of the column a(x)e when known,
-    i.e. d(a12)/dx1 + d(a22)/dx2; ``None`` means estimate by finite
-    differences.
+    ``geometry`` is the DamGeometry the field is defined on; ``None`` means
+    any rectangle.
     """
 
     tensor: Callable
-    div_ae: Optional[Callable] = None
     geometry: object = None
 
     def __call__(self, x1, x2):
@@ -69,8 +43,7 @@ class AssumptionReport:
     Lambda_est: float
     N_est: float
     div_ae_min: float
-    symmetric: bool = True
-    div_sign_ok: bool = True
+    div_sign_ok: bool
 
     def as_dict(self):
         return asdict(self)
@@ -81,8 +54,7 @@ def identity_field(geometry=None):
         one = np.ones(np.broadcast(x1, x2).shape)
         return one, np.zeros_like(one), one
 
-    return PermeabilityField(tensor, div_ae=lambda x1, x2: np.zeros(np.broadcast(x1, x2).shape),
-                             geometry=geometry)
+    return PermeabilityField(tensor, geometry=geometry)
 
 
 def layered_field(a11=1.0, a22_base=1.0, a22_slope=0.0, geometry=None):
@@ -93,13 +65,10 @@ def layered_field(a11=1.0, a22_base=1.0, a22_slope=0.0, geometry=None):
         return (np.full(shape, float(a11)), np.zeros(shape),
                 np.broadcast_to(a22_base + a22_slope * np.asarray(x2, dtype=float), shape).copy())
 
-    def div_ae(x1, x2):
-        return np.full(np.broadcast(x1, x2).shape, float(a22_slope))
-
-    return PermeabilityField(tensor, div_ae=div_ae, geometry=geometry)
+    return PermeabilityField(tensor, geometry=geometry)
 
 
-def smooth_field(a11, a12, a22, div_ae=None, geometry=None):
+def smooth_field(a11, a12, a22, geometry=None):
     """Analytic field from three callables (x1, x2) -> entry value."""
 
     def tensor(x1, x2):
@@ -110,15 +79,13 @@ def smooth_field(a11, a12, a22, div_ae=None, geometry=None):
                 np.broadcast_to(a12(x1, x2), shape).astype(float),
                 np.broadcast_to(a22(x1, x2), shape).astype(float))
 
-    return PermeabilityField(tensor, div_ae=div_ae, geometry=geometry)
+    return PermeabilityField(tensor, geometry=geometry)
 
 
 def constant_anisotropic_field(a11=1.0, a12=0.0, a22=1.0, geometry=None):
     return smooth_field(lambda x1, x2: np.full(x1.shape, float(a11)),
                         lambda x1, x2: np.full(x1.shape, float(a12)),
-                        lambda x1, x2: np.full(x1.shape, float(a22)),
-                        div_ae=lambda x1, x2: np.zeros(np.broadcast(x1, x2).shape),
-                        geometry=geometry)
+                        lambda x1, x2: np.full(x1.shape, float(a22)), geometry=geometry)
 
 
 def grid_sampled_field(grid, a11_nodes, a12_nodes, a22_nodes):
@@ -139,7 +106,7 @@ def grid_sampled_field(grid, a11_nodes, a12_nodes, a22_nodes):
     def tensor(x1, x2):
         return (interp(a11_nodes, x1, x2), interp(a12_nodes, x1, x2), interp(a22_nodes, x1, x2))
 
-    return PermeabilityField(tensor, div_ae=None, geometry=grid.geometry)
+    return PermeabilityField(tensor, geometry=grid.geometry)
 
 
 def load_field_csv(path, grid):
@@ -151,32 +118,25 @@ def load_field_csv(path, grid):
     return grid_sampled_field(grid, *read_field_csv(path, grid))
 
 
-def eval_tensor(field, x):
-    """Evaluate the tensor at one point of the closed rectangle."""
-    x1, x2 = float(x[0]), float(x[1])
-    geom = field.geometry
-    if geom is not None:
-        if not (0.0 <= x1 <= geom.L and 0.0 <= x2 <= geom.K):
-            raise OutOfDomain(f"point ({x1}, {x2}) outside [0,{geom.L}]x[0,{geom.K}]")
-    a11, a12, a22 = field(x1, x2)
-    return SymTensor2(float(a11), float(a12), float(a22))
-
-
 def validate_assumptions(field, grid):
     """Sample ellipticity, boundedness and Lipschitz estimates on the grid.
 
-    Raises AssumptionViolation if any sampled tensor fails positive
-    definiteness; otherwise returns the report, with the sign condition on
-    div(a(x)e) flagged (not raised) when violated beyond TOL_DIV.
+    Raises InvalidArgument if the field is defined on another rectangle than
+    the grid, and AssumptionViolation if any nodal tensor is not positive
+    definite (NaN entries included); otherwise returns the report, with the
+    sign condition on div(a(x)e) flagged (not raised) when violated beyond
+    TOL_DIV.  N and div(a e) come from one finite-difference pass over the
+    nodal samples.
     """
+    geom = field.geometry
+    if geom is not None and geom != grid.geometry:
+        raise InvalidArgument(f"permeability field is defined on [0,{geom.L}]x[0,{geom.K}], "
+                              f"the grid on [0,{grid.geometry.L}]x[0,{grid.geometry.K}]")
     X1, X2 = grid.coords()
-    a11, a12, a22 = field(X1, X2)
-    a11 = np.broadcast_to(a11, grid.shape)
-    a12 = np.broadcast_to(a12, grid.shape)
-    a22 = np.broadcast_to(a22, grid.shape)
+    a11, a12, a22 = (np.broadcast_to(entry, grid.shape) for entry in field(X1, X2))
 
     det = a11 * a22 - a12 ** 2
-    bad = (a11 <= 0) | (det <= 0)
+    bad = ~((a11 > 0) & (det > 0))
     if np.any(bad):
         j, i = np.argwhere(bad)[0]
         raise AssumptionViolation(
@@ -190,19 +150,11 @@ def validate_assumptions(field, grid):
     lambda_est = float(np.min(half_tr - disc))
     Lambda_est = float(np.max(half_tr + disc))
 
-    n_est = 0.0
-    for entry in (a11, a12, a22):
-        gj, gi = np.gradient(entry, grid.h2, grid.h1)
-        n_est = max(n_est, float(np.max(np.abs(gj))), float(np.max(np.abs(gi))))
-
-    if field.div_ae is not None:
-        div = np.broadcast_to(field.div_ae(X1, X2), grid.shape)
-    else:
-        d12 = np.gradient(a12, grid.h1, axis=1)
-        d22 = np.gradient(a22, grid.h2, axis=0)
-        div = d12 + d22
-    div_min = float(np.min(div))
+    # d/dx2 and d/dx1 of a11, a12, a22 in that order: central differences
+    # inside, one-sided on the edges
+    grads = [d for entry in (a11, a12, a22) for d in np.gradient(entry, grid.h2, grid.h1)]
+    n_est = max(float(np.max(np.abs(d))) for d in grads)
+    div_min = float(np.min(grads[3] + grads[4]))  # d(a12)/dx1 + d(a22)/dx2
 
     return AssumptionReport(lambda_est=lambda_est, Lambda_est=Lambda_est, N_est=n_est,
-                            div_ae_min=div_min, symmetric=True,
-                            div_sign_ok=bool(div_min >= -TOL_DIV))
+                            div_ae_min=div_min, div_sign_ok=bool(div_min >= -TOL_DIV))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .assembly import (LinearSolver, Q1Assembler, apply_dirichlet_matrix,
                        apply_dirichlet_system)
-from .errors import InvalidArgument, NonConvergence
+from .errors import NonConvergence
 from .geometry import dirichlet_values
 from .nonlinear import TOL_NEWTON, newton_picard_solve
 from .penalty import (g_eps, g_eps_derivative, heaviside_eps,
@@ -134,9 +134,6 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON, meth
     """
     phi_flat = dirichlet_values(grid, tags, phi).ravel()
     dmask = tags.dirichlet_mask.ravel()
-    if np.any(phi_flat[dmask] < 0):
-        raise InvalidArgument("boundary head must be nonnegative")
-
     asm = Q1Assembler(grid, field)
     linsolver = LinearSolver(prolongation=asm.prolongation())
     solves = []

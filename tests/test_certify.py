@@ -155,3 +155,34 @@ def test_gronwall_monitor_flags_large_difference():
     _, report = gronwall_monitor(t_lo, t_hi, field, grid, tags, alpha=0.3)
     assert report.sup_E > report.tol * report.scale
     assert not report.passed
+
+
+def test_gronwall_monitor_rejects_snapshots_off_the_grid():
+    grid, tags, field = _setup(8)
+    small = hydrostatic_profile(0.5, build_grid(grid.geometry, 4, 4))
+    traj = Trajectory(times=[0.0], snapshots=[small])
+    with pytest.raises(InvalidArgument, match=r"shape \(5, 5\).*\(9, 9\)"):
+        gronwall_monitor(traj, traj, field, grid, tags, alpha=0.3)
+
+
+def test_extract_free_boundary_takes_the_topmost_crossing():
+    grid, tags, field = _setup(6)
+    chi = np.zeros(grid.shape)
+    # crossings in cells 0 and 1, then a rise to a flat run at the level
+    chi[:, 0] = [1.0, 0.2, 0.8, 0.5, 0.5, 0.5, 0.5]
+    # one crossing below a flat run at the level that ends at the top
+    chi[:, 1] = [1.0, 1.0, 0.75, 0.5, 0.5, 0.5, 0.5]
+    # a run at the level that rises away from it: the top of the run
+    chi[:, 2] = [1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 1.0]
+    # a column at the level throughout has no crossing and is wet
+    chi[:, 3] = 0.5
+    chi[:, 4] = [1.0, 1.0, 1.0, 1.0, 0.6, 0.2, 0.0]
+    heights, status = extract_free_boundary(SolutionField(u=chi, chi=chi), grid)
+    x2 = np.arange(grid.ny + 1) * grid.h2
+    # in cell 2 chi - level goes from 0.3 (or 0.25) to 0: the crossing is x2_3
+    assert heights[0] == heights[1] == x2[3]
+    assert heights[2] == x2[5]
+    assert status[3] == "wet" and heights[3] == grid.geometry.K
+    assert heights[4] == pytest.approx(x2[4] + 0.25 * grid.h2, abs=1e-15)
+    assert status[:3] == ["interface"] * 3 and status[4] == "interface"
+    assert status[5:] == ["dry"] * 2 and list(heights[5:]) == [0.0] * 2

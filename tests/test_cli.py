@@ -184,6 +184,7 @@ def test_unsteady_run_writes_snapshots(tmp_path):
     assert len(traj["snapshots"]) == 3
     assert all(os.path.exists(os.path.join(out, s["file"])) for s in traj["snapshots"])
     assert [d["linear_fallbacks"] for d in traj["diagnostics"]] == [0, 0]
+    assert [d["line_search_failures"] for d in traj["diagnostics"]] == [0, 0]
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["mass_balance_worst"] <= 1e-10
 

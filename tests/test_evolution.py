@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from damflow import (DamGeometry, InvalidArgument, NonConvergence, PenaltyConfig,
+from damflow import (DamGeometry, InvalidArgument, InvalidData, NonConvergence, PenaltyConfig,
                      StepFailure, build_grid, classify_boundary, identity_field,
                      make_barrier_data, solve_stationary)
 from damflow import evolution
@@ -252,3 +254,38 @@ def test_step_fails_after_the_last_halving(monkeypatch):
     assert [c[0] for c in calls] == [0.02 / 2 ** k for k in range(evolution.MAX_DT_RETRIES + 1)]
     assert info.value.step_index == 0
     assert info.value.residual_norm == 1.0
+
+
+def test_line_search_failures_sum_over_the_accepted_substeps(monkeypatch):
+    geom, grid, tags, field, phi0, phi1, pen = _barrier_setup(n=12, eps=6e-2)
+    data = _midpoint_data(grid, tags, phi0, pen, T=0.02)
+    calls = _recording_solve(monkeypatch, failures=1)
+    recorded = evolution.newton_picard_solve
+
+    def solve(*args, **kwargs):
+        v, stats = recorded(*args, **kwargs)
+        return v, dataclasses.replace(stats, line_search_failures=len(calls))
+
+    monkeypatch.setattr(evolution, "newton_picard_solve", solve)
+    traj = solve_unsteady(data, field, grid, tags,
+                          EvolutionConfig(dt=0.02, n_steps=1, penalty=pen))
+    # the failed attempt reports nothing; its two dt/2 sub-steps report 2 and 3
+    (diag,) = traj.diagnostics
+    assert diag.dt_halvings == 1 and diag.line_search_failures == 2 + 3
+
+
+def test_negative_head_is_invalid_data_not_a_step_failure():
+    geom, grid, tags, field, phi0, phi1, pen = _barrier_setup(n=8, eps=6e-2)
+    data = _midpoint_data(grid, tags, phi0, pen, T=0.02)
+    data.phi = lambda x1, x2: -0.05
+    with pytest.raises(InvalidData, match="boundary head -0.05"):
+        solve_unsteady(data, field, grid, tags, EvolutionConfig(dt=0.02, n_steps=1, penalty=pen))
+
+
+@pytest.mark.parametrize("name", ["u0", "chi0"])
+def test_initial_data_off_the_grid_rejected(name):
+    geom, grid, tags, field, phi0, phi1, pen = _barrier_setup(n=8, eps=6e-2)
+    data = _midpoint_data(grid, tags, phi0, pen, T=0.02)
+    setattr(data, name, getattr(data, name)[:5, :5])
+    with pytest.raises(InvalidArgument, match=fr"{name} of shape \(5, 5\).*\(9, 9\)"):
+        solve_unsteady(data, field, grid, tags, EvolutionConfig(dt=0.02, n_steps=1, penalty=pen))

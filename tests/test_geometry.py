@@ -93,3 +93,19 @@ def test_dirichlet_values_zero_off_boundary():
     vals = dirichlet_values(grid, tags, phi)
     assert vals[2, 2] == 0.0
     assert vals[1, 0] == pytest.approx(0.25)
+
+
+def test_dirichlet_values_reject_negative_heads_and_foreign_tags():
+    grid = build_grid(DamGeometry(1.0, 1.0), 4, 4)
+    phi = hydrostatic_head(0.5)
+    tags = classify_boundary(grid, phi)
+    with pytest.raises(InvalidData, match="boundary head -0.05 .* is not a finite number >= 0"):
+        dirichlet_values(grid, tags, lambda x1, x2: -0.05)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidData, match=f"boundary head {bad}"):
+            dirichlet_values(grid, tags, lambda x1, x2: bad if x1 == 0.0 else 0.5 - x2)
+        with pytest.raises(InvalidData):
+            classify_boundary(grid, lambda x1, x2: bad if x1 == 0.0 else 0.5 - x2)
+    fine = classify_boundary(build_grid(DamGeometry(1.0, 1.0), 8, 8), phi)
+    with pytest.raises(InvalidArgument, match=r"\(9, 9\).*\(5, 5\)"):
+        dirichlet_values(grid, fine, phi)

@@ -3,6 +3,9 @@ class attributes (perfbench/spans.py).  Installing and restoring every patch
 here makes a refactor that drops or bypasses a patched name fail the test
 suite rather than a traced benchmark run."""
 
+import ast
+import glob
+import importlib
 import importlib.util
 import os
 
@@ -13,8 +16,9 @@ from damflow import (DamGeometry, EvolutionConfig, PenaltyConfig, ProblemData, b
                      classify_boundary, cli, evolution, hydrostatic_head, hydrostatic_profile,
                      identity_field, nonlinear, stationary)
 
-_SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "perfbench", "spans.py")
+_PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "perfbench")
+_SPANS = os.path.join(_PERFBENCH, "spans.py")
 _spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
 spans = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(spans)
@@ -162,3 +166,43 @@ def test_step_clock_times_iterations_and_steps():
     assert evolution.step is step
     assert len(clock.samples_ms) == 3
     assert np.all(np.isfinite(clock.samples_ms))
+
+
+def _damflow_names(tree):
+    """Dotted damflow names a module uses: ``damflow.a.b`` attribute chains
+    and ``from damflow.x import y`` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "damflow":
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            parts = [node.attr]
+            value = node.value
+            while isinstance(value, ast.Attribute):
+                parts.append(value.attr)
+                value = value.value
+            if isinstance(value, ast.Name) and value.id == "damflow":
+                yield ".".join(["damflow"] + parts[::-1])
+
+
+def _resolves(dotted):
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for k, part in enumerate(parts[1:], start=1):
+        if not hasattr(obj, part):
+            try:
+                importlib.import_module(".".join(parts[:k + 1]))
+            except ImportError:
+                return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_damflow_name_the_benchmark_uses_resolves():
+    # the suite never imports perfbench/workloads.py, so a deleted export it
+    # calls would otherwise fail only the benchmark run
+    used = set()
+    for path in glob.glob(os.path.join(_PERFBENCH, "*.py")):
+        with open(path) as fh:
+            used |= set(_damflow_names(ast.parse(fh.read(), path)))
+    assert "damflow.solve_unsteady" in used and "damflow.assembly.Q1Assembler" in used
+    assert sorted(name for name in used if not _resolves(name)) == []

@@ -2,21 +2,10 @@ import numpy as np
 import pytest
 
 from damflow import (AssumptionViolation, DamGeometry, InvalidArgument, MalformedCSV,
-                     OutOfDomain, build_grid, constant_anisotropic_field, identity_field,
-                     layered_field, validate_assumptions)
+                     build_grid, constant_anisotropic_field, identity_field, layered_field,
+                     validate_assumptions)
 from damflow.cli import EXIT_VALIDATION, main
-from damflow.permeability import (SymTensor2, eval_tensor, grid_sampled_field,
-                                  load_field_csv, smooth_field)
-
-
-def test_symtensor_basics():
-    t = SymTensor2(2.0, 0.5, 1.0)
-    assert t.det == pytest.approx(1.75)
-    assert t.is_positive_definite()
-    lo, hi = t.eigenvalues()
-    assert lo == pytest.approx(min(np.linalg.eigvalsh([[2.0, 0.5], [0.5, 1.0]])))
-    assert hi == pytest.approx(max(np.linalg.eigvalsh([[2.0, 0.5], [0.5, 1.0]])))
-    np.testing.assert_allclose(t.apply([1.0, 2.0]), [3.0, 2.5])
+from damflow.permeability import grid_sampled_field, load_field_csv, smooth_field
 
 
 def test_identity_field_report():
@@ -27,6 +16,8 @@ def test_identity_field_report():
     assert rep.Lambda_est == pytest.approx(1.0)
     assert rep.N_est == pytest.approx(0.0)
     assert rep.div_sign_ok
+    assert set(rep.as_dict()) == {"lambda_est", "Lambda_est", "N_est", "div_ae_min",
+                                  "div_sign_ok"}
 
 
 def test_layered_field_analytic_divergence():
@@ -34,7 +25,9 @@ def test_layered_field_analytic_divergence():
     grid = build_grid(geom, 8, 8)
     field = layered_field(a11=1.0, a22_base=1.0, a22_slope=0.5, geometry=geom)
     rep = validate_assumptions(field, grid)
+    # nodal differences are exact for an affine a22
     assert rep.div_ae_min == pytest.approx(0.5)
+    assert rep.N_est == pytest.approx(0.5)
     assert rep.Lambda_est == pytest.approx(1.5)  # a22 at the top edge
     assert rep.div_sign_ok
 
@@ -54,13 +47,33 @@ def test_non_positive_definite_rejected():
         validate_assumptions(bad, grid)
 
 
-def test_eval_tensor_domain_check():
-    geom = DamGeometry(2.0, 1.0)
-    field = identity_field(geom)
-    t = eval_tensor(field, (1.0, 0.5))
-    assert (t.a11, t.a12, t.a22) == (1.0, 0.0, 1.0)
-    with pytest.raises(OutOfDomain):
-        eval_tensor(field, (3.0, 0.5))
+def test_nan_tensor_rejected():
+    geom = DamGeometry(1.0, 1.0)
+    grid = build_grid(geom, 4, 4)
+    holey = smooth_field(lambda x1, x2: np.where(x1 > 0.6, np.nan, 1.0),
+                         lambda x1, x2: np.zeros(x1.shape), lambda x1, x2: np.ones(x1.shape),
+                         geometry=geom)
+    with pytest.raises(AssumptionViolation) as exc:
+        validate_assumptions(holey, grid)
+    assert exc.value.point == (0.75, 0.0)
+
+
+def test_field_on_another_rectangle_rejected():
+    # sampled on the unit square, the field would be clamped to its edge
+    # values over the right half of a 2x1 grid
+    unit = build_grid(DamGeometry(1.0, 1.0), 4, 4)
+    X1, _ = unit.coords()
+    field = grid_sampled_field(unit, 1.0 + X1, np.zeros(unit.shape), np.ones(unit.shape))
+    assert field(1.5, 0.5)[0] == 2.0
+    wide = build_grid(DamGeometry(2.0, 1.0), 8, 4)
+    with pytest.raises(InvalidArgument, match=r"\[0,1.0\]x\[0,1.0\].*\[0,2.0\]x\[0,1.0\]"):
+        validate_assumptions(field, wide)
+    with pytest.raises(InvalidArgument):
+        validate_assumptions(identity_field(DamGeometry(1.0, 1.0)), wide)
+    # a field without a rectangle is defined everywhere, and an equal
+    # rectangle given with other number types is the same rectangle
+    assert validate_assumptions(identity_field(), wide).div_sign_ok
+    assert validate_assumptions(identity_field(DamGeometry(2, 1)), wide).div_sign_ok
 
 
 def test_grid_sampled_interpolation_exact_for_bilinear():

@@ -14,11 +14,11 @@ EXPORTS = {
     "AssumptionReport", "AssumptionViolation", "BoundaryTags", "CertificateReport",
     "DamGeometry", "DamflowError", "DualSolver", "EnergySeries", "EvolutionConfig", "Grid",
     "IncompatibleRuns", "InvalidArgument", "InvalidData", "MalformedCSV", "NodeKind",
-    "NonConvergence", "OrderingReport", "OutOfDomain", "PenaltyConfig", "PermeabilityField",
-    "ProblemData", "SolutionField", "StationarySolve", "StepFailure", "SymTensor2",
+    "NonConvergence", "OrderingReport", "PenaltyConfig", "PermeabilityField",
+    "ProblemData", "SolutionField", "StationarySolve", "StepFailure",
     "Trajectory", "build_grid", "check_sandwich",
     "classify_boundary", "complementarity_bound", "constant_anisotropic_field",
-    "dirichlet_values", "eval_tensor", "extract_free_boundary", "g_eps", "g_eps_derivative",
+    "dirichlet_values", "extract_free_boundary", "g_eps", "g_eps_derivative",
     "grid_sampled_field", "gronwall_monitor", "heaviside_eps", "heaviside_eps_derivative",
     "hydrostatic_head", "hydrostatic_profile", "identity_field", "layered_field",
     "load_field_csv", "load_solution_csv", "make_barrier_data", "project_initial",
@@ -26,7 +26,7 @@ EXPORTS = {
     "steklov_derivative", "step", "two_reservoir_head", "validate_assumptions",
 }
 
-KEYWORD_OPTIONS = 32
+KEYWORD_OPTIONS = 31
 
 
 def test_exported_names():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from damflow import (DamGeometry, InvalidArgument, PenaltyConfig, build_grid,
+from damflow import (DamGeometry, InvalidArgument, InvalidData, PenaltyConfig, build_grid,
                      classify_boundary, hydrostatic_head, identity_field,
                      layered_field, make_barrier_data, solve_stationary, two_reservoir_head)
 from damflow import stationary
@@ -155,8 +155,15 @@ def test_boundary_values_held_exactly():
 
 def test_negative_boundary_head_rejected():
     grid, tags, phi, field = _setup(n=8)
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(InvalidData):
         solve_stationary(lambda x1, x2: -1.0, field, grid, tags, PenaltyConfig(eps=1e-2))
+
+
+def test_tags_of_another_grid_rejected():
+    grid, _, phi, field = _setup(n=4)
+    _, tags, _, _ = _setup(n=8)
+    with pytest.raises(InvalidArgument, match="tags of shape"):
+        solve_stationary(phi, field, grid, tags, PenaltyConfig(eps=1e-1))
 
 
 def test_initial_guess_uses_wet_nodes_only():
