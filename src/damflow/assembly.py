@@ -81,9 +81,11 @@ def _line_prolongation(n):
 
 
 class Q1Assembler:
-    """Assembly of stiffness, mass and gravity terms for one grid/field pair."""
+    """Assembly of stiffness, mass and gravity terms for one grid/field pair;
+    a field defined on another rectangle than the grid is an InvalidArgument."""
 
     def __init__(self, grid, field, n_gauss=2):
+        field.check_grid(grid)
         self.grid = grid
         self.field = field
         h1, h2 = grid.h1, grid.h2

@@ -11,7 +11,7 @@ import os
 import sys
 
 from .certify import gronwall_monitor
-from .config import (ConfigError, build_problem, check_keys, load_config, output_dir,
+from .config import (ConfigError, build_problem, load_config, output_dir, parse_values,
                      pose_problem, resolve_path)
 from .errors import DamflowError, IncompatibleRuns, NonConvergence
 from .evolution import EvolutionConfig, Trajectory, solve_unsteady
@@ -224,7 +224,8 @@ def cmd_sweep(config_path, param, values, out_override=None):
     if "." not in param:
         raise ConfigError(f"--param must look like section.key, got {param!r}")
     section, key = param.split(".", 1)
-    check_keys({section: {key: None}})
+    for value in values:
+        parse_values({section: {key: value}})
     root = output_dir(cfg, out_override)
     os.makedirs(root, exist_ok=True)
 

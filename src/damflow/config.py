@@ -1,8 +1,9 @@
 """INI run configuration: parsing, fail-fast validation, problem building.
 
 The flat-sectioned key-value format keeps sweep directories diff-friendly.
-``KEYS`` lists every section and key a config may hold; any other section or
-key is a ConfigError.
+``KEYS`` is the schema: every section and key a config may hold, with the
+parser of its value, what a value must be and its default.  Any other section
+or key, and any value its key cannot take, is a ConfigError.
 """
 
 import configparser
@@ -19,21 +20,49 @@ from .penalty import PenaltyConfig
 from .problem_data import (ProblemData, hydrostatic_head, hydrostatic_profile,
                            load_solution_csv, make_barrier_data, two_reservoir_head)
 
-MODES = ("stationary", "unsteady", "certify")
 
-# keys lowercased, as configparser reads them; README's schema table lists
-# the same sections and keys
+def _finite_float(text):
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(x)
+    return x
+
+
+def _one_of(*choices):
+    """A choice key's entry: a case-insensitive parser, and the first choice as default."""
+    def parse(text):
+        value = text.strip().lower()
+        if value not in choices:
+            raise ValueError(value)
+        return value
+    return parse, f"one of {', '.join(choices)}", choices[0]
+
+
+NUMBER = (_finite_float, "a finite number")
+INTEGER = (int, "an integer")
+
+# section -> key -> (parser, what a value must be, default), keys lowercased as
+# configparser reads them, as in README's schema table.  Default None: time.dt
+# is h2, data.eps0 min(0.1, K/4), and a preset reading another needs it set.
 KEYS = {
-    "run": ("mode",),
-    "geometry": ("l", "k"),
-    "grid": ("nx", "ny"),
-    "permeability": ("kind", "a11", "a12", "a22", "a22_base", "a22_slope", "csv"),
-    "physics": ("alpha",),
-    "data": ("phi", "k", "h_left", "h_right", "eps0", "initial", "initial_csv"),
-    "penalty": ("eps",),
-    "time": ("t", "dt"),
-    "solver": ("method", "tol_newton"),
-    "output": ("dir", "every_n_steps"),
+    "run": {"mode": _one_of("stationary", "unsteady", "certify")},
+    "geometry": {"l": (*NUMBER, 1.0), "k": (*NUMBER, 1.0)},
+    "grid": {"nx": (*INTEGER, 16), "ny": (*INTEGER, 16)},
+    "permeability": {"kind": _one_of("identity", "layered", "constant", "csv"),
+                     "a11": (*NUMBER, 1.0), "a12": (*NUMBER, 0.0), "a22": (*NUMBER, 1.0),
+                     "a22_base": (*NUMBER, 1.0), "a22_slope": (*NUMBER, 0.0),
+                     "csv": (str, "a path", None)},
+    "physics": {"alpha": (*NUMBER, 0.0)},
+    "data": {"phi": _one_of("hydrostatic", "barrier-lower", "barrier-upper", "two-reservoir"),
+             "k": (*NUMBER, None), "h_left": (*NUMBER, None), "h_right": (*NUMBER, None),
+             "eps0": (*NUMBER, None),
+             "initial": _one_of("hydrostatic", "stationary-lower", "stationary-upper",
+                                "midpoint", "csv"),
+             "initial_csv": (str, "a path", None)},
+    "penalty": {"eps": (*NUMBER, 1e-2)},
+    "time": {"t": (*NUMBER, 1.0), "dt": (*NUMBER, None)},
+    "solver": {"method": _one_of("newton", "picard"), "tol_newton": (*NUMBER, TOL_NEWTON)},
+    "output": {"dir": (str, "a path", "out"), "every_n_steps": (*INTEGER, 1)},
 }
 
 
@@ -43,38 +72,49 @@ class ConfigError(DamflowError):
 
 @dataclass
 class RunConfig:
-    mode: str
-    raw: dict = dc_field(repr=False, default_factory=dict)
-    path: str = ""
+    """A config file's ``raw`` strings; ``values`` parses them on first read."""
 
-    def get(self, section, key, default=None):
-        return self.raw.get(section, {}).get(key, default)
+    raw: dict = dc_field(repr=False)
+    path: str
 
-    def _parse(self, section, key, default, parse, expected):
-        v = self.get(section, key, default)
-        if v is None:
-            return None
-        try:
-            return parse(v)
-        except (KeyError, ValueError):
-            raise ConfigError(f"{section}.{key} must be {expected}, got {v!r}") from None
+    @functools.cached_property
+    def values(self):
+        return parse_values(self.raw)
 
-    def getfloat(self, section, key, default=None):
-        return self._parse(section, key, default, _finite_float, "a finite number")
-
-    def getint(self, section, key, default=None):
-        return self._parse(section, key, default, int, "an integer")
+    @property
+    def mode(self):
+        return self.values["run"]["mode"]
 
 
-def _finite_float(v):
-    x = float(v)
-    if not math.isfinite(x):
-        raise ValueError(x)
-    return x
+def _parse(raw, section, key):
+    """``raw``'s value of section.key parsed by ``KEYS``, or its default when unset."""
+    parse, expected, default = KEYS[section][key]
+    if key not in raw.get(section, {}):
+        return default
+    text = raw[section][key]
+    try:
+        return parse(text)
+    except ValueError:
+        raise ConfigError(f"{section}.{key} must be {expected}, got {text!r}") from None
+
+
+def parse_values(raw):
+    """Every key of ``KEYS`` with its value in ``raw`` (a dict of sections)
+    parsed, or its default.  A ConfigError names every section.key not in
+    ``KEYS`` (an empty unknown section as [section]), or else the first bad value."""
+    unknown = [f"[{section}]" for section, entries in raw.items()
+               if section not in KEYS and not entries]
+    unknown += [f"{section}.{key}" for section, entries in raw.items() for key in entries
+                if key not in KEYS.get(section, ())]
+    if unknown:
+        raise ConfigError(f"unknown config keys {', '.join(unknown)}; see the schema table "
+                          "in README")
+    return {section: {key: _parse(raw, section, key) for key in keys}
+            for section, keys in KEYS.items()}
 
 
 def load_config(path):
-    """Parse an INI file into a RunConfig; raises ConfigError on any defect."""
+    """Read an INI file into a RunConfig; ConfigError if unreadable or of unknown mode."""
     # no default section: a [DEFAULT] section is read, and rejected, like any other
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
@@ -85,10 +125,8 @@ def load_config(path):
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    mode = raw.get("run", {}).get("mode", "stationary").strip()
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-    return RunConfig(mode=mode, raw=raw, path=os.path.abspath(path))
+    _parse(raw, "run", "mode")
+    return RunConfig(raw=raw, path=os.path.abspath(path))
 
 
 @dataclass
@@ -110,131 +148,99 @@ class Problem:
     assumption_report: object
     eps0: float
     barrier: object
+    dt: float
+    n_steps: int
+    method: str
+    tol_newton: float
+    every_n_steps: int
     data: object = None
-    dt: float = 0.0
-    n_steps: int = 0
-    method: str = "newton"
-    tol_newton: float = TOL_NEWTON
-    every_n_steps: int = 1
+
+
+def _needed(cfg, section, key, by):
+    """The parsed value of section.key, which the setting ``by`` needs set."""
+    value = cfg.values[section][key]
+    if value is None:
+        raise ConfigError(f"{by} requires {section}.{key}")
+    return value
+
+
+def _csv_file(cfg, section, key, by):
+    """The existing file section.key names, relative to the config's directory."""
+    path = resolve_path(_needed(cfg, section, key, by), cfg.path)
+    if not os.path.isfile(path):
+        raise ConfigError(f"{section}.{key} names no file: {path}")
+    return path
 
 
 def build_field(cfg, geometry, grid):
-    kind = (cfg.get("permeability", "kind", "identity") or "identity").strip().lower()
-    if kind == "identity":
-        return perm.identity_field(geometry)
-    if kind == "layered":
-        return perm.layered_field(a11=cfg.getfloat("permeability", "a11", 1.0),
-                                  a22_base=cfg.getfloat("permeability", "a22_base", 1.0),
-                                  a22_slope=cfg.getfloat("permeability", "a22_slope", 0.0),
-                                  geometry=geometry)
-    if kind == "constant":
-        return perm.constant_anisotropic_field(a11=cfg.getfloat("permeability", "a11", 1.0),
-                                               a12=cfg.getfloat("permeability", "a12", 0.0),
-                                               a22=cfg.getfloat("permeability", "a22", 1.0),
+    p = cfg.values["permeability"]
+    if p["kind"] == "layered":
+        return perm.layered_field(a11=p["a11"], a22_base=p["a22_base"],
+                                  a22_slope=p["a22_slope"], geometry=geometry)
+    if p["kind"] == "constant":
+        return perm.constant_anisotropic_field(a11=p["a11"], a12=p["a12"], a22=p["a22"],
                                                geometry=geometry)
-    if kind == "csv":
-        path = cfg.get("permeability", "csv")
-        if not path:
-            raise ConfigError("permeability.kind=csv requires permeability.csv")
-        path = resolve_path(path, cfg.path)
-        if not os.path.exists(path):
-            raise ConfigError(f"permeability CSV not found: {path}")
-        return perm.load_field_csv(path, grid)
-    raise ConfigError(f"unknown permeability kind {kind!r}")
+    if p["kind"] == "csv":
+        return perm.load_field_csv(_csv_file(cfg, "permeability", "csv", "permeability.kind=csv"),
+                                   grid)
+    return perm.identity_field(geometry)
 
 
-def build_head(cfg, geometry, eps0):
-    """The configured boundary head; ``eps0`` is ``[data] eps0``, None when unset."""
-    preset = (cfg.get("data", "phi", "hydrostatic") or "hydrostatic").strip().lower()
+def build_head(cfg, geometry):
+    """The configured boundary head ``[data] phi``."""
+    preset = cfg.values["data"]["phi"]
+    by = f"data.phi={preset}"
     if preset == "hydrostatic":
-        k = cfg.getfloat("data", "k")
-        if k is None:
-            raise ConfigError("data.phi=hydrostatic requires data.k")
-        return hydrostatic_head(k)
-    if preset in ("barrier-lower", "barrier-upper"):
-        if eps0 is None:
-            raise ConfigError(f"data.phi={preset} requires data.eps0")
-        phi0, phi1 = make_barrier_data(eps0, geometry)
-        return phi0 if preset == "barrier-lower" else phi1
+        return hydrostatic_head(_needed(cfg, "data", "k", by))
     if preset == "two-reservoir":
-        h_left = cfg.getfloat("data", "h_left")
-        h_right = cfg.getfloat("data", "h_right")
-        if h_left is None or h_right is None:
-            raise ConfigError("data.phi=two-reservoir requires data.h_left and data.h_right")
-        return two_reservoir_head(h_left, h_right, geometry)
-    raise ConfigError(f"unknown boundary head preset {preset!r}")
+        return two_reservoir_head(_needed(cfg, "data", "h_left", by),
+                                  _needed(cfg, "data", "h_right", by), geometry)
+    return make_barrier_data(_needed(cfg, "data", "eps0", by), geometry)[preset == "barrier-upper"]
 
 
 def build_initial(cfg, grid, barrier):
     """Initial (u0, chi0) from the configured preset.
 
     Stationary-based presets solve the penalized barrier problems here, so
-    validation catches their failures before the time loop starts.  They
-    need ``[data] eps0`` set, not its default.
+    validation catches their failures before the time loop starts.
     """
-    preset = (cfg.get("data", "initial", "hydrostatic") or "hydrostatic").strip().lower()
+    preset = cfg.values["data"]["initial"]
+    by = f"data.initial={preset}"
     if preset == "hydrostatic":
-        k = cfg.getfloat("data", "k")
-        if k is None:
-            raise ConfigError("data.initial=hydrostatic requires data.k")
-        prof = hydrostatic_profile(k, grid)
+        prof = hydrostatic_profile(_needed(cfg, "data", "k", by), grid)
         return prof.u, prof.chi
     if preset == "csv":
-        path = cfg.get("data", "initial_csv")
-        if not path:
-            raise ConfigError("data.initial=csv requires data.initial_csv")
-        path = resolve_path(path, cfg.path)
-        if not os.path.exists(path):
-            raise ConfigError(f"initial CSV not found: {path}")
-        sol = load_solution_csv(path, grid)
+        sol = load_solution_csv(_csv_file(cfg, "data", "initial_csv", by), grid)
         return sol.u, sol.chi
-    if preset in ("stationary-lower", "stationary-upper", "midpoint"):
-        if cfg.get("data", "eps0") is None:
-            raise ConfigError(f"data.initial={preset} requires data.eps0")
-        if preset != "midpoint":
-            s = barrier(int(preset == "stationary-upper"))
-            return s.v, s.chi
-        s0, s1 = barrier(0), barrier(1)
-        # midpoint of the order interval; chi need not equal H_eps(u) initially
-        return 0.5 * (s0.v + s1.v), 0.5 * (s0.chi + s1.chi)
-    raise ConfigError(f"unknown initial preset {preset!r}")
-
-
-def check_keys(raw):
-    """Raise a ConfigError naming every section.key of ``raw`` (a dict of
-    sections) that ``KEYS`` does not list; an empty unknown section is named
-    as [section]."""
-    unknown = [f"[{section}]" for section, entries in raw.items()
-               if section not in KEYS and not entries]
-    unknown += [f"{section}.{key}" for section, entries in raw.items() for key in entries
-                if key not in KEYS.get(section, ())]
-    if unknown:
-        raise ConfigError(f"unknown config keys {', '.join(unknown)}; see the schema table "
-                          "in README")
+    _needed(cfg, "data", "eps0", by)
+    if preset != "midpoint":
+        s = barrier(int(preset == "stationary-upper"))
+        return s.v, s.chi
+    s0, s1 = barrier(0), barrier(1)
+    # midpoint of the order interval; chi need not equal H_eps(u) initially
+    return 0.5 * (s0.v + s1.v), 0.5 * (s0.chi + s1.chi)
 
 
 def pose_problem(cfg):
     """Every part of a problem that takes no solve: geometry, grid, field,
     assumption report, penalty, head, tags, ``eps0`` and the barrier solves
     (lazy), time grid and solver settings."""
-    check_keys(cfg.raw)
-
+    v = cfg.values
     # configparser lowercases keys, so L/K arrive as l/k
-    geometry = DamGeometry(L=cfg.getfloat("geometry", "l", 1.0),
-                           K=cfg.getfloat("geometry", "k", 1.0))
-    grid = build_grid(geometry, cfg.getint("grid", "nx", 16), cfg.getint("grid", "ny", 16))
+    geometry = DamGeometry(L=v["geometry"]["l"], K=v["geometry"]["k"])
+    grid = build_grid(geometry, v["grid"]["nx"], v["grid"]["ny"])
     field = build_field(cfg, geometry, grid)
     report = perm.validate_assumptions(field, grid)
-    pen = PenaltyConfig(eps=cfg.getfloat("penalty", "eps", 1e-2),
-                        alpha=cfg.getfloat("physics", "alpha", 0.0))
-    eps0 = cfg.getfloat("data", "eps0")
-    phi = build_head(cfg, geometry, eps0)
+    pen = PenaltyConfig(eps=v["penalty"]["eps"], alpha=v["physics"]["alpha"])
+    phi = build_head(cfg, geometry)
+    eps0 = v["data"]["eps0"]
     if eps0 is None:
         eps0 = min(0.1, geometry.K / 4.0)
     tags = classify_boundary(grid, phi)
 
-    T = cfg.getfloat("time", "t", 1.0)
-    dt = cfg.getfloat("time", "dt", grid.h2)
+    T, dt = v["time"]["t"], v["time"]["dt"]
+    if dt is None:
+        dt = grid.h2
     if dt <= 0 or not math.isfinite(T / dt):
         raise ConfigError(f"need time.dt > 0 and a finite step count time.t/time.dt, "
                           f"got T={T}, dt={dt}")
@@ -244,11 +250,7 @@ def pose_problem(cfg):
     if abs(n_steps * dt - T) > 1e-12 * max(T, 1.0):
         raise ConfigError(f"time.t={T} is not an integer multiple of time.dt={dt}")
 
-    method = (cfg.get("solver", "method", "newton") or "newton").strip().lower()
-    if method not in ("newton", "picard"):
-        raise ConfigError(f"unknown solver method {method!r}")
-
-    tol_newton = cfg.getfloat("solver", "tol_newton", TOL_NEWTON)
+    tol_newton = v["solver"]["tol_newton"]
     if tol_newton <= 0:
         raise ConfigError(f"solver.tol_newton must be positive, got {tol_newton}")
 
@@ -261,8 +263,8 @@ def pose_problem(cfg):
 
     return Problem(geometry=geometry, grid=grid, field=field, tags=tags, phi=phi, penalty=pen,
                    assumption_report=report, eps0=eps0, barrier=barrier, dt=dt,
-                   n_steps=n_steps, method=method, tol_newton=tol_newton,
-                   every_n_steps=max(cfg.getint("output", "every_n_steps", 1), 1))
+                   n_steps=n_steps, method=v["solver"]["method"], tol_newton=tol_newton,
+                   every_n_steps=max(v["output"]["every_n_steps"], 1))
 
 
 def build_problem(cfg):
@@ -272,22 +274,19 @@ def build_problem(cfg):
     problem = pose_problem(cfg)
     if cfg.mode in ("unsteady", "certify"):
         u0, chi0 = build_initial(cfg, problem.grid, problem.barrier)
-        problem.data = ProblemData(alpha=problem.penalty.alpha,
-                                   T_final=cfg.getfloat("time", "t", 1.0),
+        problem.data = ProblemData(alpha=problem.penalty.alpha, T_final=cfg.values["time"]["t"],
                                    eps0=problem.eps0, phi=problem.phi, u0=u0, chi0=chi0)
     return problem
 
 
 def output_dir(cfg, override=None):
     root = override or os.environ.get("DAMFLOW_OUT")
-    configured = cfg.get("output", "dir", "out")
+    configured = cfg.values["output"]["dir"]
     if root:
         return os.path.join(root, os.path.basename(configured))
     return resolve_path(configured, cfg.path)
 
 
 def resolve_path(path, config_path):
-    if os.path.isabs(path):
-        return path
-    base = os.path.dirname(config_path) if config_path else "."
-    return os.path.join(base, path)
+    # an absolute path is kept as it is
+    return os.path.join(os.path.dirname(config_path), path)

@@ -34,6 +34,13 @@ class PermeabilityField:
     def __call__(self, x1, x2):
         return self.tensor(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
 
+    def check_grid(self, grid):
+        """Raise InvalidArgument if the field is defined on another rectangle than ``grid``."""
+        geom = self.geometry
+        if geom is not None and geom != grid.geometry:
+            raise InvalidArgument(f"permeability field is defined on [0,{geom.L}]x[0,{geom.K}], "
+                                  f"the grid on [0,{grid.geometry.L}]x[0,{grid.geometry.K}]")
+
 
 @dataclass(frozen=True)
 class AssumptionReport:
@@ -128,10 +135,7 @@ def validate_assumptions(field, grid):
     TOL_DIV.  N and div(a e) come from one finite-difference pass over the
     nodal samples.
     """
-    geom = field.geometry
-    if geom is not None and geom != grid.geometry:
-        raise InvalidArgument(f"permeability field is defined on [0,{geom.L}]x[0,{geom.K}], "
-                              f"the grid on [0,{grid.geometry.L}]x[0,{grid.geometry.K}]")
+    field.check_grid(grid)
     X1, X2 = grid.coords()
     a11, a12, a22 = (np.broadcast_to(entry, grid.shape) for entry in field(X1, X2))
 

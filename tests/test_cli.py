@@ -2,15 +2,17 @@ import configparser
 import json
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
-from damflow import (DamGeometry, NonConvergence, build_grid, cli, hydrostatic_profile,
-                     solve_stationary)
+from damflow import (DamGeometry, IncompatibleRuns, NonConvergence, build_grid, cli,
+                     constant_anisotropic_field, hydrostatic_profile, layered_field,
+                     solve_stationary, validate_assumptions)
 from damflow.config import load_config, pose_problem
 from damflow.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
                          EXIT_SOLVER, EXIT_VALIDATION, main)
-from damflow.io import write_solution_csv
+from damflow.io import read_json, write_solution_csv
 
 STATIONARY = """
 [run]
@@ -122,7 +124,10 @@ def test_validate_lone_percent_exit_2(tmp_path, capsys):
     ("time", "dt", "0"), ("time", "dt", "inf"), ("physics", "alpha", "x"),
     ("penalty", "eps", "nan"), ("solver", "tol_newton", "x"), ("solver", "tol_newton", "-1"),
     ("output", "every_n_steps", "x"), ("data", "project", "maybe"), ("data", "M", "0.1"),
-    ("penalty", "epsilon", "1e-9"), ("solver", "tol_newtonn", "-1")])
+    ("penalty", "epsilon", "1e-9"), ("solver", "tol_newtonn", "-1"),
+    # values a stationary run never reads are parsed all the same
+    ("permeability", "a12", "x"), ("data", "h_left", "x"), ("data", "initial", "fractal"),
+    ("permeability", "kind", "fractal"), ("solver", "method", "secant"), ("run", "mode", "banana")])
 def test_validate_bad_value_exit_2_naming_the_key(tmp_path, capsys, section, key, value):
     parser = configparser.ConfigParser()
     parser.read_string(STATIONARY.format(out="out"))
@@ -137,6 +142,19 @@ def test_validate_bad_value_exit_2_naming_the_key(tmp_path, capsys, section, key
     assert f"{section}.{key.lower()}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("permeability, make_field", [
+    ("kind = layered\na11 = 2.0\na22_base = 1.0\na22_slope = 0.5",
+     lambda geometry: layered_field(2.0, 1.0, 0.5, geometry)),
+    ("kind = Constant\na11 = 2.0\na12 = 0.25\na22 = 3.0",
+     lambda geometry: constant_anisotropic_field(2.0, 0.25, 3.0, geometry))])
+def test_validate_reports_the_configured_field(tmp_path, capsys, permeability, make_field):
+    cfg, _ = _config(tmp_path, STATIONARY + f"\n[permeability]\n{permeability}\n")
+    assert main(["validate", cfg]) == EXIT_OK
+    geometry = DamGeometry(1.0, 1.0)
+    expected = validate_assumptions(make_field(geometry), build_grid(geometry, 16, 16))
+    assert json.loads(capsys.readouterr().out)["assumptions"] == expected.as_dict()
+
+
 def test_validation_failure_exit_3(tmp_path):
     # negative compressibility passes parsing but fails object validation
     cfg, _ = _config(tmp_path, STATIONARY + "\n[physics]\nalpha = -1.0\n")
@@ -147,20 +165,20 @@ def test_stationary_run_artifacts_and_determinism(tmp_path):
     cfg, out = _config(tmp_path, STATIONARY)
     assert main(["run", cfg]) == EXIT_OK
     assert os.path.exists(os.path.join(out, "solution.csv"))
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = read_json(os.path.join(out, "summary.json"))
     assert summary["complete"] and not summary["failures"]
-    first = open(os.path.join(out, "solution.csv"), "rb").read()
+    first = Path(out, "solution.csv").read_bytes()
 
     cfg2, out2 = _config(tmp_path, STATIONARY, name="run2.ini", outname="out2")
     assert main(["run", cfg2]) == EXIT_OK
-    assert open(os.path.join(out2, "solution.csv"), "rb").read() == first
+    assert Path(out2, "solution.csv").read_bytes() == first
 
 
 def test_two_reservoir_run_reports_its_stationary_solve(tmp_path):
     cfg, out = _config(tmp_path, TWO_RESERVOIR.format(eps=3e-2))
     assert main(["validate", cfg]) == EXIT_OK
     assert main(["run", cfg]) == EXIT_OK
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = read_json(os.path.join(out, "summary.json"))
     assert summary["clamped_nodes"] > 0
     assert summary["continuation_steps"] > 1
     assert {"newton_iters", "method", "krylov_iters", "line_search_failures"} <= set(summary)
@@ -180,12 +198,12 @@ def test_contact_rounds_that_run_out_exit_4(tmp_path):
 def test_unsteady_run_writes_snapshots(tmp_path):
     cfg, out = _config(tmp_path, UNSTEADY)
     assert main(["run", cfg]) == EXIT_OK
-    traj = json.load(open(os.path.join(out, "trajectory.json")))
+    traj = read_json(os.path.join(out, "trajectory.json"))
     assert len(traj["snapshots"]) == 3
     assert all(os.path.exists(os.path.join(out, s["file"])) for s in traj["snapshots"])
     assert [d["linear_fallbacks"] for d in traj["diagnostics"]] == [0, 0]
     assert [d["line_search_failures"] for d in traj["diagnostics"]] == [0, 0]
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = read_json(os.path.join(out, "summary.json"))
     assert summary["mass_balance_worst"] <= 1e-10
 
 
@@ -200,7 +218,7 @@ def test_unsteady_mass_imbalance_fails_the_run(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_unsteady", leaky)
     cfg, out = _config(tmp_path, UNSTEADY)
     assert main(["run", cfg]) == EXIT_CHECK_FAILED
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = read_json(os.path.join(out, "summary.json"))
     assert summary["mass_balance_worst"] == 1e-6
     assert any("mass balance" in f for f in summary["failures"])
 
@@ -234,9 +252,33 @@ def test_compare_identical_runs_pass(tmp_path):
     assert main(["run", cfg2]) == EXIT_OK
     report_path = str(tmp_path / "cmp.json")
     assert main(["compare", out, out2, "--out", report_path]) == EXIT_OK
-    report = json.load(open(report_path))
+    report = read_json(report_path)
     assert report["passed"]
     assert report["sign_min"] >= 0.0
+
+
+def test_compare_runs_at_other_times_exit_3(tmp_path):
+    cfg, out = _config(tmp_path, UNSTEADY)
+    cfg2, out2 = _config(tmp_path, UNSTEADY.replace("T = 0.04", "T = 0.02"), name="run2.ini",
+                         outname="out2")
+    assert main(["run", cfg]) == EXIT_OK and main(["run", cfg2]) == EXIT_OK
+    report_path = tmp_path / "cmp.json"
+    assert main(["compare", out, out2, "--out", str(report_path)]) == EXIT_VALIDATION
+    with pytest.raises(IncompatibleRuns) as info:
+        cli.cmd_compare(out, out2, str(report_path))
+    assert info.value.mismatched_keys == ["times"]
+    assert not report_path.exists()
+
+
+def test_compare_stored_config_with_a_bad_value_exit_2(tmp_path, capsys):
+    cfg, out = _config(tmp_path, UNSTEADY)
+    assert main(["run", cfg]) == EXIT_OK
+    edited = tmp_path / "edited"
+    shutil.copytree(out, edited)
+    stored = (edited / "config.ini").read_text()
+    (edited / "config.ini").write_text(stored.replace("stationary-lower", "fractal"))
+    assert main(["compare", out, str(edited), "--out", str(tmp_path / "cmp.json")]) == EXIT_CONFIG
+    assert "data.initial" in capsys.readouterr().err
 
 
 def test_compare_incomplete_run_exit_3(tmp_path, capsys):
@@ -251,7 +293,7 @@ def test_compare_incomplete_run_exit_3(tmp_path, capsys):
         shutil.copytree(out, corrupt[name])
         (corrupt[name] / name).write_text("{")
     # valid JSON of the wrong shape: no snapshot list, or an entry without a time
-    meta = json.load(open(os.path.join(out, "trajectory.json")))
+    meta = read_json(os.path.join(out, "trajectory.json"))
     del meta["snapshots"][1]["time"]
     misshapen = []
     for k, text in enumerate(("{}", json.dumps(meta))):
@@ -290,7 +332,7 @@ def test_compare_runs_with_relative_csv_paths(tmp_path):
     for name in ("a", "b"):
         cfg, out = _config(cfg_dir, text, name=f"{name}.ini", outname=f"out_{name}")
         assert main(["run", cfg]) == EXIT_OK
-        stored = open(os.path.join(out, "config.ini")).read()
+        stored = Path(out, "config.ini").read_text()
         assert f"csv = {cfg_dir / 'perm%%1.csv'}" in stored
         assert f"initial_csv = {cfg_dir / 'init.csv'}" in stored
         runs.append(out)
@@ -300,19 +342,28 @@ def test_compare_runs_with_relative_csv_paths(tmp_path):
 def test_sweep_follows_the_config_mode(tmp_path):
     cfg, out = _config(tmp_path, UNSTEADY.replace("mode = unsteady", "mode = certify"))
     assert main(["sweep", cfg, "--param", "penalty.eps", "--values", "5e-2", "4e-2"]) == EXIT_OK
-    summary = json.load(open(os.path.join(out, "sweep_summary.json")))
+    summary = read_json(os.path.join(out, "sweep_summary.json"))
     assert len(summary["results"]) == 2
     for r in summary["results"]:
         assert r["exit"] == EXIT_OK and r["complementarity_max"] is None
         assert os.path.exists(os.path.join(r["dir"], "certificate.json"))
-        assert json.load(open(os.path.join(r["dir"], "summary.json")))["mode"] == "certify"
+        assert read_json(os.path.join(r["dir"], "summary.json"))["mode"] == "certify"
+
+
+def test_sweep_over_run_mode_runs_each_mode(tmp_path):
+    cfg, out = _config(tmp_path, UNSTEADY.replace("mode = unsteady", "mode = stationary"))
+    assert main(["sweep", cfg, "--param", "run.mode",
+                 "--values", "Unsteady", "stationary"]) == EXIT_OK
+    results = read_json(os.path.join(out, "sweep_summary.json"))["results"]
+    assert [read_json(os.path.join(r["dir"], "summary.json"))["mode"] for r in results] == [
+        "unsteady", "stationary"]
 
 
 def test_sweep_runs_each_value(tmp_path):
     cfg, out = _config(tmp_path, STATIONARY)
     assert main(["sweep", cfg, "--param", "penalty.eps",
                  "--values", "5e-2", "4e-2", "3e-2"]) == EXIT_OK
-    summary = json.load(open(os.path.join(out, "sweep_summary.json")))
+    summary = read_json(os.path.join(out, "sweep_summary.json"))
     assert [r["value"] for r in summary["results"]] == ["5e-2", "4e-2", "3e-2"]
     for r in summary["results"]:
         assert r["exit"] == EXIT_OK
@@ -329,6 +380,13 @@ def test_sweep_unknown_param_exit_2_before_any_output(tmp_path, capsys, param):
     cfg, out = _config(tmp_path, STATIONARY)
     assert main(["sweep", cfg, "--param", param, "--values", "1", "2"]) == EXIT_CONFIG
     assert param in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_sweep_bad_value_exit_2_before_any_output(tmp_path, capsys):
+    cfg, out = _config(tmp_path, STATIONARY)
+    assert main(["sweep", cfg, "--param", "penalty.eps", "--values", "5e-2", "x"]) == EXIT_CONFIG
+    assert "penalty.eps" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

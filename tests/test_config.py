@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,14 +144,21 @@ def test_unknown_section_rejected(tmp_path, extra, name):
 
 
 def test_readme_schema_table_lists_the_known_keys():
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
     table = readme.split("### Configuration schema (INI)", 1)[1]
     rows = re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", table, flags=re.MULTILINE)
     # a key's allowed values and remarks are parenthesized after it
     documented = {section: tuple(key.lower() for key in re.findall(r"`(\w+)`",
                                                                    re.sub(r"\([^)]*\)", "", keys)))
                   for section, keys in rows}
-    assert documented == KEYS
+    assert documented == {section: tuple(keys) for section, keys in KEYS.items()}
+    # a choice key's values are listed as (`a`\|`b`), in the order of KEYS
+    listed = {f"{section}.{key.lower()}": "one of " + ", ".join(re.findall(r"`([\w-]+)`", values))
+              for section, keys in rows
+              for key, values in re.findall(r"`(\w+)` \(((?:`[\w-]+`\\\|)+`[\w-]+`)\)", keys)}
+    assert listed == {f"{section}.{key}": expected for section, keys in KEYS.items()
+                      for key, (_, expected, _) in keys.items() if expected.startswith("one of ")}
+    assert len(listed) == 5
 
 
 def test_unknown_permeability_kind_rejected(tmp_path):

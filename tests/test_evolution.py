@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from damflow import (DamGeometry, InvalidArgument, InvalidData, NonConvergence, PenaltyConfig,
-                     StepFailure, build_grid, classify_boundary, identity_field,
-                     make_barrier_data, solve_stationary)
+                     StepFailure, build_grid, classify_boundary, hydrostatic_profile,
+                     identity_field, make_barrier_data, solve_stationary)
 from damflow import evolution
 from damflow.evolution import EvolutionConfig, _Stepper, project_initial, solve_unsteady
 from damflow.penalty import complementarity_bound, g_eps, heaviside_eps
@@ -254,6 +254,22 @@ def test_step_fails_after_the_last_halving(monkeypatch):
     assert [c[0] for c in calls] == [0.02 / 2 ** k for k in range(evolution.MAX_DT_RETRIES + 1)]
     assert info.value.step_index == 0
     assert info.value.residual_norm == 1.0
+
+
+def test_pressure_undershoot_fails_the_step():
+    # the hydrostatic pair at level 0.5 drains towards the lower barrier head
+    # (level 0.1); at eps = 0.02 < h2 the converged step undershoots
+    geom = DamGeometry(1.0, 1.0)
+    grid = build_grid(geom, 16, 16)
+    phi0, _ = make_barrier_data(0.1, geom)
+    pen = PenaltyConfig(eps=0.02, alpha=0.3)
+    prof = hydrostatic_profile(0.5, grid)
+    data = ProblemData(alpha=pen.alpha, T_final=0.02, eps0=0.1, phi=phi0, u0=prof.u,
+                       chi0=prof.chi)
+    with pytest.raises(StepFailure, match=r"pressure undershoot -3\.920e-03 at t=0\.02") as info:
+        solve_unsteady(data, identity_field(geom), grid, classify_boundary(grid, phi0),
+                       EvolutionConfig(dt=0.02, n_steps=1, penalty=pen))
+    assert info.value.step_index == 0
 
 
 def test_line_search_failures_sum_over_the_accepted_substeps(monkeypatch):

@@ -42,6 +42,9 @@ SOLUTION_DEFECTS = {
     "non_integer_index": (lambda rows: rows + ["0.5,0,0.25,0,0.5,1"], "not a grid node"),
     "short_row": (lambda rows: rows + ["2,2"], "columns"),
     "non_numeric_cell": (lambda rows: rows[:-1] + ["2,2,1,1,wet,1"], "could not convert"),
+    "five_columns": (lambda rows: [row.rsplit(",", 1)[0] for row in rows], "has 5 columns"),
+    "nan_cell": (lambda rows: rows[:-1] + ["2,2,1,1,nan,1"], "not a finite number"),
+    "inf_cell": (lambda rows: rows[:-1] + ["2,2,1,1,0.5,inf"], "not a finite number"),
     "duplicated_node": (lambda rows: rows + [rows[0]], "appears 2 times"),
     "header_only": (lambda rows: [], "no data rows"),
 }

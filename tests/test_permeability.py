@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from damflow import (AssumptionViolation, DamGeometry, InvalidArgument, MalformedCSV,
-                     build_grid, constant_anisotropic_field, identity_field, layered_field,
-                     validate_assumptions)
+from damflow import (AssumptionViolation, DamGeometry, DualSolver, EvolutionConfig,
+                     InvalidArgument, MalformedCSV, PenaltyConfig, ProblemData, build_grid,
+                     classify_boundary, constant_anisotropic_field, hydrostatic_profile,
+                     identity_field, layered_field, solve_stationary, solve_unsteady,
+                     two_reservoir_head, validate_assumptions)
 from damflow.cli import EXIT_VALIDATION, main
 from damflow.permeability import grid_sampled_field, load_field_csv, smooth_field
 
@@ -74,6 +76,26 @@ def test_field_on_another_rectangle_rejected():
     # rectangle given with other number types is the same rectangle
     assert validate_assumptions(identity_field(), wide).div_sign_ok
     assert validate_assumptions(identity_field(DamGeometry(2, 1)), wide).div_sign_ok
+
+
+@pytest.mark.parametrize("solver", ["solve_stationary", "solve_unsteady", "DualSolver"])
+def test_solvers_reject_a_field_on_another_rectangle(solver):
+    unit = build_grid(DamGeometry(1.0, 1.0), 4, 4)
+    X1, _ = unit.coords()
+    field = grid_sampled_field(unit, 1.0 + X1, np.zeros(unit.shape), np.ones(unit.shape))
+    geom = DamGeometry(2.0, 1.0)
+    wide = build_grid(geom, 8, 4)
+    phi = two_reservoir_head(0.9, 0.2, geom)
+    tags = classify_boundary(wide, phi)
+    pen = PenaltyConfig(eps=0.1)
+    prof = hydrostatic_profile(0.5, wide)
+    data = ProblemData(alpha=0.0, T_final=0.1, eps0=0.1, phi=phi, u0=prof.u, chi0=prof.chi)
+    calls = {"solve_stationary": lambda: solve_stationary(phi, field, wide, tags, pen),
+             "solve_unsteady": lambda: solve_unsteady(
+                 data, field, wide, tags, EvolutionConfig(dt=0.1, n_steps=1, penalty=pen)),
+             "DualSolver": lambda: DualSolver(field, wide, tags)}
+    with pytest.raises(InvalidArgument, match=r"\[0,1.0\]x\[0,1.0\].*\[0,2.0\]x\[0,1.0\]"):
+        calls[solver]()
 
 
 def test_grid_sampled_interpolation_exact_for_bilinear():
