@@ -127,16 +127,12 @@ class Q1Assembler:
         self.diag_slot = pos[:, 4].copy()
 
         self._stiffness = None
-        self._mass = None
-        self._prolongation = None
 
     def prolongation(self):
         """Bilinear interpolation from the 2h grid (every other node line, the
         last line kept) to this grid: kron(P_y, P_x) on the flat node order."""
-        if self._prolongation is None:
-            self._prolongation = sp.kron(_line_prolongation(self.grid.ny),
-                                         _line_prolongation(self.grid.nx), format="csr")
-        return self._prolongation
+        return sp.kron(_line_prolongation(self.grid.ny), _line_prolongation(self.grid.nx),
+                       format="csr")
 
     def pattern_matrix(self, data):
         """CSR matrix on the Q1 pattern with the given data array."""
@@ -164,10 +160,8 @@ class Q1Assembler:
 
     def mass(self):
         """Consistent mass matrix."""
-        if self._mass is None:
-            local = np.einsum("q,qm,qn->mn", self.wq, self.N, self.N)
-            self._mass = self._scatter_matrix(np.broadcast_to(local, (self.grid.n_cells, 4, 4)))
-        return self._mass
+        local = np.einsum("q,qm,qn->mn", self.wq, self.N, self.N)
+        return self._scatter_matrix(np.broadcast_to(local, (self.grid.n_cells, 4, 4)))
 
     def lumped_mass(self):
         """Row-sum lumped mass as a flat vector."""
@@ -270,9 +264,10 @@ class LinearSolver:
     Conjugate gradients for symmetric matrices, BiCGStab otherwise, to the
     tolerance ``max(rtol * |b|, atol)``.  Every solve is preconditioned by
     the two-grid cycle on ``prolongation``; its Jacobi smoother comes from
-    the current matrix, its coarse factor is kept across solves until they
-    need a new one (``_preconditioner``) and refactored on every solve from
-    ``REFACTOR_EVERY_SOLVE_MIN_N`` unknowns on.  The Krylov method sees
+    the current matrix.  Its coarse factor is kept across solves; a solve
+    that fails, needs more than 2 n0 + 5 iterations (n0: those of the first
+    solve on the factor) or has ``REFACTOR_EVERY_SOLVE_MIN_N`` unknowns or
+    more retires it, and the next solve factors anew.  The Krylov method sees
     b / |b|, since scipy's breakdown thresholds are absolute.  A Krylov
     failure falls back to a direct factorization (counted in ``fallbacks``)
     unless ``rescue`` is off; then ``solve`` returns None.  ``krylov_iters``
@@ -290,13 +285,12 @@ class LinearSolver:
         self.coarse_factors = 0
         self.prolongation = prolongation
         self.restriction = prolongation.T.tocsr()
-        # the coarse factor, the symmetry it was built for, the iterations of
-        # the first solve that used it, and whether the last solve asked for
-        # a new one
+        # the coarse factor, the symmetry of the solves it serves (None once
+        # a solve has retired it) and the iterations of the first solve that
+        # used it
         self._coarse = None
         self._coarse_symmetric = None
         self._first_iters = None
-        self._rebuild = False
 
     @contextmanager
     def tolerance(self, rtol, atol=0.0, rescue=True):
@@ -309,11 +303,10 @@ class LinearSolver:
             self.rtol, self.atol, self.rescue = saved
 
     def _preconditioner(self, A, symmetric):
-        # rebuild when there is no factor, it was built for the other symmetry
-        # (CG needs the factor of a symmetric matrix), or the last solve
-        # failed or needed more than 2 n0 + 5 iterations; the prolongation
-        # fixes the matrix size
-        if self._coarse is None or self._rebuild or self._coarse_symmetric != symmetric:
+        # factor when there is no factor or it does not serve this symmetry
+        # (CG needs the factor of a symmetric matrix); the prolongation fixes
+        # the matrix size
+        if self._coarse is None or self._coarse_symmetric != symmetric:
             self._coarse = None  # release the old factor before building the new one
             galerkin = self.restriction @ (A @ self.prolongation)
             self._coarse = spla.splu(galerkin.tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -336,16 +329,21 @@ class LinearSolver:
         x, info = method(A, b / bnorm, rtol=self.rtol, atol=self.atol / bnorm,
                          maxiter=KRYLOV_MAXITER, M=self._preconditioner(A, symmetric),
                          callback=tick)
-        if A.shape[0] >= REFACTOR_EVERY_SOLVE_MIN_N:
-            # refactoring costs less here than the iterations reuse adds, and
-            # a factor kept through the next assembly raises peak memory
-            self._coarse = None
         x = x * bnorm
         failed = info != 0 or not np.all(np.isfinite(x))
         self.krylov_iters += iters
         if self._first_iters is None:
             self._first_iters = iters
-        self._rebuild = failed or iters > 2 * self._first_iters + 5
+        # the solve that used the factor decides its lifetime.  From the
+        # crossover on it goes now: refactoring costs less than the iterations
+        # reuse adds, and a factor kept through the next assembly raises peak
+        # memory.  Below it, a failed solve or one past 2 n0 + 5 retires it
+        # and the next build releases it (released here, the assembly in
+        # between takes its pages and drainage_unsteady's peak RSS rose 2 MB)
+        if A.shape[0] >= REFACTOR_EVERY_SOLVE_MIN_N:
+            self._coarse = None
+        elif failed or iters > 2 * self._first_iters + 5:
+            self._coarse_symmetric = None
         if failed:
             if not self.rescue:
                 return None

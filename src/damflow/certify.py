@@ -87,26 +87,34 @@ def steklov_average(times, values, h_avg):
     """
     times, new_times = _steklov_window(times, h_avg)
     values = np.asarray(values, dtype=float)
-    out = np.empty((new_times.size,) + values.shape[1:])
-    for idx, t in enumerate(new_times):
-        out[idx] = _integrate_pl(times, values, t, t + h_avg) / h_avg
-    return new_times, out
+    ends = new_times + h_avg
+    total = np.zeros((new_times.size,) + values.shape[1:])
+    for k in range(times.size - 1):
+        # the windows [t, t + h] that overlap segment k, and its part in each
+        w = slice(np.searchsorted(ends, times[k], side="right"),
+                  np.searchsorted(new_times, times[k + 1], side="left"))
+        lo = np.maximum(new_times[w], times[k])
+        hi = np.minimum(ends[w], times[k + 1])
+        width = (hi - lo).reshape((-1,) + (1,) * (values.ndim - 1))
+        total[w] += 0.5 * (_eval_pl(times, values, lo) + _eval_pl(times, values, hi)) * width
+    return new_times, total / h_avg
 
 
 def steklov_derivative(times, values, h_avg):
     """Exact time derivative of the Steklov mean: (g(t+h) - g(t))/h."""
     times, new_times = _steklov_window(times, h_avg)
     values = np.asarray(values, dtype=float)
-    out = np.empty((new_times.size,) + values.shape[1:])
-    for idx, t in enumerate(new_times):
-        out[idx] = (_eval_pl(times, values, t + h_avg) - _eval_pl(times, values, t)) / h_avg
-    return new_times, out
+    return new_times, (_eval_pl(times, values, new_times + h_avg)
+                       - _eval_pl(times, values, new_times)) / h_avg
 
 
 def _steklov_window(times, h_avg):
     """(times, the start times t whose window [t, t + h] lies inside the
-    series); raises InvalidArgument unless 0 < h <= T."""
+    series); raises InvalidArgument unless the times strictly increase and
+    0 < h <= T."""
     times = np.asarray(times, dtype=float)
+    if not np.all(np.diff(times) > 0.0):
+        raise InvalidArgument("Steklov times must strictly increase")
     T = times[-1] - times[0]
     if not (0.0 < h_avg <= T + 1e-15):
         raise InvalidArgument(f"averaging window {h_avg} outside (0, {T}]")
@@ -114,29 +122,12 @@ def _steklov_window(times, h_avg):
 
 
 def _eval_pl(times, values, t):
-    t = min(max(t, times[0]), times[-1])
-    k = int(np.searchsorted(times, t, side="right")) - 1
-    k = min(max(k, 0), times.size - 2)
-    frac = (t - times[k]) / (times[k + 1] - times[k])
+    """The piecewise-linear interpolant of ``values`` at the times ``t``
+    (an array), clamped to the series."""
+    t = np.clip(t, times[0], times[-1])
+    k = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
+    frac = ((t - times[k]) / (times[k + 1] - times[k])).reshape((-1,) + (1,) * (values.ndim - 1))
     return (1.0 - frac) * values[k] + frac * values[k + 1]
-
-
-def _integrate_pl(times, values, a, b):
-    """Exact integral of the piecewise-linear interpolant over [a, b]."""
-    total = np.zeros(values.shape[1:])
-    ka = int(np.searchsorted(times, a, side="right")) - 1
-    kb = int(np.searchsorted(times, b, side="left"))
-    ka = min(max(ka, 0), times.size - 2)
-    kb = min(max(kb, 1), times.size - 1)
-    for k in range(ka, kb):
-        lo, hi = max(a, times[k]), min(b, times[k + 1])
-        if hi <= lo:
-            continue
-        # trapezoid of the linear segment restricted to [lo, hi]
-        glo = _eval_pl(times, values, lo)
-        ghi = _eval_pl(times, values, hi)
-        total = total + 0.5 * (glo + ghi) * (hi - lo)
-    return total
 
 
 def sign_check(traj1, traj2):

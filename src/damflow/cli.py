@@ -84,7 +84,7 @@ def cmd_validate(config_path):
     return EXIT_OK
 
 
-def cmd_run(config_path, out_override=None):
+def cmd_run(config_path, out_override):
     cfg = load_config(config_path)
     return _execute(cfg, output_dir(cfg, out_override))[0]
 
@@ -219,7 +219,7 @@ def cmd_compare(dir_a, dir_b, out_path):
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_sweep(config_path, param, values, out_override=None):
+def cmd_sweep(config_path, param, values, out_override):
     cfg = load_config(config_path)
     if "." not in param:
         raise ConfigError(f"--param must look like section.key, got {param!r}")

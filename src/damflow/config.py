@@ -253,6 +253,9 @@ def pose_problem(cfg):
     tol_newton = v["solver"]["tol_newton"]
     if tol_newton <= 0:
         raise ConfigError(f"solver.tol_newton must be positive, got {tol_newton}")
+    every_n_steps = v["output"]["every_n_steps"]
+    if every_n_steps < 1:
+        raise ConfigError(f"output.every_n_steps must be at least 1, got {every_n_steps}")
 
     @functools.cache
     def barrier(k):
@@ -264,7 +267,7 @@ def pose_problem(cfg):
     return Problem(geometry=geometry, grid=grid, field=field, tags=tags, phi=phi, penalty=pen,
                    assumption_report=report, eps0=eps0, barrier=barrier, dt=dt,
                    n_steps=n_steps, method=v["solver"]["method"], tol_newton=tol_newton,
-                   every_n_steps=max(v["output"]["every_n_steps"], 1))
+                   every_n_steps=every_n_steps)
 
 
 def build_problem(cfg):

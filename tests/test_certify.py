@@ -77,6 +77,34 @@ def test_steklov_window_outside_the_horizon_rejected(operator, h):
         operator(times, 2.0 * times, h)
 
 
+@pytest.mark.parametrize("times", [[0.0, 1.0, 0.5, 1.5], [0.0, 0.5, 0.5, 1.5]])
+@pytest.mark.parametrize("operator", [steklov_average, steklov_derivative])
+def test_steklov_times_that_do_not_strictly_increase_rejected(operator, times):
+    with pytest.raises(InvalidArgument, match="strictly increase"):
+        operator(times, [1.0, 2.0, 3.0, 4.0], 0.25)
+
+
+def test_steklov_operators_on_a_field_at_irregular_times():
+    rng = np.random.default_rng(11)
+    times = np.cumsum(rng.uniform(0.05, 0.4, 9))
+    values = rng.standard_normal((times.size, 3, 2))
+    h = 0.7
+    new_t, avg = steklov_average(times, values, h)
+    _, der = steklov_derivative(times, values, h)
+    assert avg.shape == der.shape == (new_t.size, 3, 2) and new_t.size > 1
+
+    def g(t, c):
+        return np.interp(t, times, values[:, c[0], c[1]])
+
+    for n, t in enumerate(new_t):
+        # breakpoints of the window [t, t + h]: its ends and the times inside
+        knots = np.concatenate([[t], times[(times > t) & (times < t + h)], [t + h]])
+        for c in np.ndindex(3, 2):
+            trapezoid = np.sum(0.5 * (g(knots[1:], c) + g(knots[:-1], c)) * np.diff(knots))
+            assert avg[n][c] == pytest.approx(trapezoid / h, abs=1e-13)
+            assert der[n][c] == pytest.approx((g(t + h, c) - g(t, c)) / h, abs=1e-13)
+
+
 def _trajectory(us, chis):
     return Trajectory(times=[0.1 * k for k in range(len(us))],
                       snapshots=[SolutionField(u=np.array(u), chi=np.array(chi), time=0.1 * k)
@@ -125,9 +153,10 @@ def test_gronwall_monitor_alignment_guard():
     grid, tags, field = _setup(4)
     zero = SolutionField(u=np.zeros(grid.shape), chi=np.zeros(grid.shape), time=0.0)
     t1 = Trajectory(times=[0.0, 0.1], snapshots=[zero, zero])
-    t2 = Trajectory(times=[0.0], snapshots=[zero])
-    with pytest.raises(InvalidArgument):
-        gronwall_monitor(t1, t2, field, grid, tags, alpha=0.0)
+    for times, message in (([0.0], "different lengths"), ([0.0, 0.2], "different times")):
+        t2 = Trajectory(times=times, snapshots=[zero] * len(times))
+        with pytest.raises(InvalidArgument, match=message):
+            gronwall_monitor(t1, t2, field, grid, tags, alpha=0.0)
 
 
 def test_gronwall_monitor_identical_trajectories():

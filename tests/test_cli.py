@@ -123,7 +123,8 @@ def test_validate_lone_percent_exit_2(tmp_path, capsys):
     ("time", "T", "1e308"), ("time", "T", "-1"), ("time", "T", "0"), ("time", "T", "0.001"),
     ("time", "dt", "0"), ("time", "dt", "inf"), ("physics", "alpha", "x"),
     ("penalty", "eps", "nan"), ("solver", "tol_newton", "x"), ("solver", "tol_newton", "-1"),
-    ("output", "every_n_steps", "x"), ("data", "project", "maybe"), ("data", "M", "0.1"),
+    ("output", "every_n_steps", "x"), ("output", "every_n_steps", "0"),
+    ("output", "every_n_steps", "-1"), ("data", "project", "maybe"), ("data", "M", "0.1"),
     ("penalty", "epsilon", "1e-9"), ("solver", "tol_newtonn", "-1"),
     # values a stationary run never reads are parsed all the same
     ("permeability", "a12", "x"), ("data", "h_left", "x"), ("data", "initial", "fractal"),
@@ -140,6 +141,17 @@ def test_validate_bad_value_exit_2_naming_the_key(tmp_path, capsys, section, key
     assert main(["validate", str(path)]) == EXIT_CONFIG
     # configparser lowercases keys
     assert f"{section}.{key.lower()}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("template, old, new, key", [
+    (STATIONARY, "[data]", "[permeability]\nkind = csv\ncsv = missing.csv\n\n[data]",
+     "permeability.csv"),
+    (UNSTEADY, "initial = stationary-lower", "initial = csv\ninitial_csv = missing.csv",
+     "data.initial_csv")])
+def test_csv_key_naming_no_file_exit_2(tmp_path, capsys, template, old, new, key):
+    cfg, _ = _config(tmp_path, template.replace(old, new))
+    assert main(["validate", cfg]) == EXIT_CONFIG
+    assert f"{key} names no file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("permeability, make_field", [

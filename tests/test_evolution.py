@@ -305,3 +305,13 @@ def test_initial_data_off_the_grid_rejected(name):
     setattr(data, name, getattr(data, name)[:5, :5])
     with pytest.raises(InvalidArgument, match=fr"{name} of shape \(5, 5\).*\(9, 9\)"):
         solve_unsteady(data, field, grid, tags, EvolutionConfig(dt=0.02, n_steps=1, penalty=pen))
+
+
+def test_barrier_off_the_grid_rejected():
+    geom, grid, tags, field, phi0, phi1, pen = _barrier_setup(n=8, eps=6e-2)
+    data = _midpoint_data(grid, tags, phi0, pen, T=0.02)
+    coarse = build_grid(geom, 4, 4)
+    v1eps = solve_stationary(phi1, field, coarse, classify_boundary(coarse, phi1), pen)
+    with pytest.raises(InvalidArgument, match=r"\(9, 9\) != barrier shape \(5, 5\)"):
+        solve_unsteady(data, field, grid, tags, EvolutionConfig(dt=0.02, n_steps=1, penalty=pen),
+                       v1eps=v1eps)

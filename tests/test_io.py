@@ -57,6 +57,28 @@ def test_atomic_write_creates_directories_and_no_temp_files(tmp_path):
     assert [p.name for p in target.parent.iterdir()] == ["file.txt"]
 
 
+def test_atomic_write_failure_reraises_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("damflow.io.os.replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        atomic_write_text(str(tmp_path / "file.txt"), "hello")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_initial_pressure_exit_3(tmp_path, capsys):
+    grid = build_grid(DamGeometry(1.0, 1.0), 2, 2)
+    u = np.full(grid.shape, 0.5)
+    u[1, 1] = -0.25
+    write_solution_csv(str(tmp_path / "initial.csv"), grid,
+                       SolutionField(u=u, chi=np.ones(grid.shape), time=0.0))
+    config = tmp_path / "run.ini"
+    config.write_text(INITIAL_CSV_CONFIG)
+    assert main(["validate", str(config)]) == EXIT_VALIDATION
+    assert "u0 >= 0" in capsys.readouterr().err
+
+
 def test_json_roundtrip(tmp_path):
     path = tmp_path / "x.json"
     write_json(str(path), {"b": 1, "a": [1.5, None]})

@@ -26,7 +26,7 @@ EXPORTS = {
     "steklov_derivative", "step", "two_reservoir_head", "validate_assumptions",
 }
 
-KEYWORD_OPTIONS = 28
+KEYWORD_OPTIONS = 26
 
 
 def test_exported_names():
