@@ -113,10 +113,7 @@ class Q1Assembler:
         y0 = cj * h2
         self.xq = x0[:, None] + (xi[None, :] + 1.0) * h1 / 2.0
         self.yq = y0[:, None] + (eta[None, :] + 1.0) * h2 / 2.0
-        a11, a12, a22 = field(self.xq, self.yq)
-        self.a11 = np.broadcast_to(a11, self.xq.shape)
-        self.a12 = np.broadcast_to(a12, self.xq.shape)
-        self.a22 = np.broadcast_to(a22, self.xq.shape)
+        self.a11, self.a12, self.a22 = field(self.xq, self.yq)
         # fields aligned with the axes skip the a12 terms of the gravity Jacobian
         self.has_a12 = bool(np.any(self.a12 != 0.0))
 

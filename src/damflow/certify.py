@@ -196,6 +196,8 @@ def _check_aligned(traj1, traj2, grid):
         raise InvalidArgument("trajectories have different lengths")
     t1 = np.asarray(traj1.times)
     t2 = np.asarray(traj2.times)
+    if t1.size == 0 or not np.all(np.diff(t1) > 0.0):
+        raise InvalidArgument("trajectory times must be nonempty and strictly increase")
     if not np.allclose(t1, t2, rtol=0, atol=1e-12 * max(1.0, float(t1[-1]))):
         raise InvalidArgument("trajectories are sampled at different times")
     off_grid = [s.u.shape for s in traj1.snapshots + traj2.snapshots if s.u.shape != grid.shape]

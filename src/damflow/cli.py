@@ -11,10 +11,10 @@ import os
 import sys
 
 from .certify import gronwall_monitor
-from .config import (ConfigError, build_problem, load_config, output_dir, parse_values,
-                     pose_problem, resolve_path)
+from .config import (ConfigError, build_problem, load_config, output_dir, pose_problem,
+                     resolve_path)
 from .errors import DamflowError, IncompatibleRuns, NonConvergence
-from .evolution import EvolutionConfig, Trajectory, solve_unsteady
+from .evolution import Trajectory, solve_unsteady
 from .io import (atomic_write_text, read_json, snapshot_filename, write_energy_csv, write_json,
                  write_solution_csv)
 from .penalty import complementarity_bound
@@ -86,20 +86,20 @@ def cmd_validate(config_path):
 
 def cmd_run(config_path, out_override):
     cfg = load_config(config_path)
-    return _execute(cfg, output_dir(cfg, out_override))[0]
+    return _execute(cfg, build_problem(cfg), output_dir(cfg, out_override))[0]
 
 
-def _execute(cfg, out):
-    """Build the problem, run the pipeline ``[run] mode`` selects into ``out``
-    and write its config.ini and summary.json; returns (exit code, summary)."""
-    problem = build_problem(cfg)
+def _execute(cfg, problem, out):
+    """Run the pipeline ``[run] mode`` selects on ``cfg``'s built ``problem``
+    into ``out`` and write its config.ini and summary.json; returns (exit
+    code, summary)."""
     os.makedirs(out, exist_ok=True)
     _write_config_ini(os.path.join(out, "config.ini"), cfg)
     grid = problem.grid
     summary = {"geometry": {"L": grid.geometry.L, "K": grid.geometry.K},
                "grid": {"nx": grid.nx, "ny": grid.ny},
-               "alpha": problem.penalty.alpha,
-               "eps": problem.penalty.eps,
+               "alpha": problem.evolution.penalty.alpha,
+               "eps": problem.evolution.penalty.eps,
                "assumptions": problem.assumption_report.as_dict(),
                **PIPELINES[cfg.mode](problem, out)}
     write_json(os.path.join(out, "summary.json"), summary)
@@ -107,20 +107,18 @@ def _execute(cfg, out):
 
 
 def _run_stationary(problem, out):
+    ev = problem.evolution
     solve = solve_stationary(problem.phi, problem.field, problem.grid, problem.tags,
-                             problem.penalty, tol_newton=problem.tol_newton,
-                             method=problem.method)
+                             ev.penalty, tol_newton=ev.tol_newton, method=ev.method)
     write_solution_csv(os.path.join(out, "solution.csv"), problem.grid, solve.solution_field())
     return {"mode": "stationary", "residual_norm": solve.residual_norm,
             "newton_iters": solve.newton_iters, "method": solve.method, **solve.diagnostics,
             "complete": True, "failures": []}
 
 
-def _simulate(problem):
+def _simulate(problem, evolution):
     """Unsteady pipeline shared by run and certify: barrier clip + stepping."""
-    econfig = EvolutionConfig(dt=problem.dt, n_steps=problem.n_steps, penalty=problem.penalty,
-                              tol_newton=problem.tol_newton, method=problem.method)
-    return solve_unsteady(problem.data, problem.field, problem.grid, problem.tags, econfig,
+    return solve_unsteady(problem.data, problem.field, problem.grid, problem.tags, evolution,
                           v1eps=problem.barrier(1))
 
 
@@ -139,12 +137,12 @@ def _write_trajectory(problem, traj, out):
 
 
 def _run_unsteady(problem, out):
-    traj = _simulate(problem)
+    traj = _simulate(problem, problem.evolution)
     diag = _write_trajectory(problem, traj, out)
     # snapshot 0 is exempt: its (u0, chi0) pair is data, not H_eps-coupled
     comp = max(s.complementarity_residual() for s in traj.snapshots[1:])
     failures = []
-    bound = complementarity_bound(problem.penalty.eps) + 1e-12
+    bound = complementarity_bound(problem.evolution.penalty.eps) + 1e-12
     if comp > bound:
         failures.append(f"complementarity residual {comp} exceeds eps/4 bound {bound}")
     worst_mass = max((d["mass_balance_rel"] for d in diag), default=0.0)
@@ -156,10 +154,10 @@ def _run_unsteady(problem, out):
 
 def _run_certify(problem, out):
     """Newton-path vs Picard-path uniqueness experiment on one config."""
-    traj_n = _simulate(dataclasses.replace(problem, method="newton"))
-    traj_p = _simulate(dataclasses.replace(problem, method="picard"))
+    traj_n = _simulate(problem, dataclasses.replace(problem.evolution, method="newton"))
+    traj_p = _simulate(problem, dataclasses.replace(problem.evolution, method="picard"))
     series, report = gronwall_monitor(traj_n, traj_p, problem.field, problem.grid,
-                                      problem.tags, problem.penalty.alpha)
+                                      problem.tags, problem.evolution.penalty.alpha)
     write_energy_csv(os.path.join(out, "energy.csv"), series)
     write_json(os.path.join(out, "certificate.json"), report.as_dict())
     failures = [] if report.passed else [f"sup_E {report.sup_E} above {report.tol * report.scale}"]
@@ -175,7 +173,7 @@ def load_run(run_dir):
 
     Only the stored artifacts are read and the problem is posed, not
     solved.  Raises IncompatibleRuns naming the first artifact the directory
-    lacks or whose JSON does not parse.
+    lacks or whose JSON does not parse or has the wrong shape.
     """
     def artifact(name, read=None):
         path = os.path.join(run_dir, name)
@@ -187,13 +185,16 @@ def load_run(run_dir):
             raise IncompatibleRuns(f"run directory {run_dir} has a corrupt {name}: {exc}") from exc
 
     summary = artifact("summary.json", read_json)
+    if not isinstance(summary, dict):
+        raise IncompatibleRuns(f"run directory {run_dir} has a summary.json that is not a "
+                               "JSON object")
     traj_meta = artifact("trajectory.json", read_json)
     entries = traj_meta.get("snapshots") if isinstance(traj_meta, dict) else None
-    if not isinstance(entries, list) or not all(
+    if not isinstance(entries, list) or not entries or not all(
             isinstance(e, dict) and isinstance(e.get("file"), str)
             and isinstance(e.get("time"), (int, float)) for e in entries):
         raise IncompatibleRuns(f"run directory {run_dir} has a trajectory.json without a "
-                               "list of snapshots, each with a file and a time")
+                               "nonempty list of snapshots, each with a file and a time")
     problem = pose_problem(load_config(artifact("config.ini")))
     snaps = [load_solution_csv(artifact(entry["file"]), problem.grid, time=entry["time"])
              for entry in entries]
@@ -213,7 +214,7 @@ def cmd_compare(dir_a, dir_b, out_path):
         raise IncompatibleRuns(f"runs disagree on {mismatched}", mismatched_keys=mismatched)
 
     series, report = gronwall_monitor(traj_a, traj_b, problem_a.field, problem_a.grid,
-                                      problem_a.tags, problem_a.penalty.alpha)
+                                      problem_a.tags, problem_a.evolution.penalty.alpha)
     write_json(out_path, report.as_dict())
     print(json.dumps(report.as_dict(), indent=2))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -224,17 +225,20 @@ def cmd_sweep(config_path, param, values, out_override):
     if "." not in param:
         raise ConfigError(f"--param must look like section.key, got {param!r}")
     section, key = param.split(".", 1)
+    # every value's problem is built, and so checked, before any directory is made
+    runs = []
     for value in values:
-        parse_values({section: {key: value}})
+        raw = {s: dict(entries) for s, entries in cfg.raw.items()}
+        raw.setdefault(section, {})[key] = value
+        sub_cfg = dataclasses.replace(cfg, raw=raw)
+        runs.append((value, sub_cfg, build_problem(sub_cfg)))
     root = output_dir(cfg, out_override)
     os.makedirs(root, exist_ok=True)
 
     results = []
-    for value in values:
-        sub_cfg = load_config(config_path)
-        sub_cfg.raw.setdefault(section, {})[key] = value
+    for value, sub_cfg, problem in runs:
         sub_dir = os.path.join(root, f"{section}.{key}={value}")
-        code, summary = _execute(sub_cfg, sub_dir)
+        code, summary = _execute(sub_cfg, problem, sub_dir)
         results.append({"value": value, "dir": sub_dir, "exit": code,
                         "complementarity_max": summary.get("complementarity_max")})
     write_json(os.path.join(root, "sweep_summary.json"),

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import permeability as perm
 from .errors import DamflowError
+from .evolution import EvolutionConfig
 from .geometry import DamGeometry, build_grid, classify_boundary
 from .nonlinear import TOL_NEWTON
 from .penalty import PenaltyConfig
@@ -133,25 +134,21 @@ def load_config(path):
 class Problem:
     """Everything a pipeline needs, built and validated up front.
 
-    ``eps0`` is the strip height of the barrier heads; ``barrier(k)`` is the
-    lower (k = 0) or upper (k = 1) barrier's stationary solve, made on first
-    use and then kept.  ``build_problem`` adds the initial ``data`` of a run
-    that steps.
+    ``evolution`` holds the run's numerics (penalty, time step, step count,
+    method and Newton tolerance); ``eps0`` is the strip height of the barrier
+    heads; ``barrier(k)`` is the lower (k = 0) or upper (k = 1) barrier's
+    stationary solve, made on first use and then kept.  ``build_problem``
+    adds the initial ``data`` of a run that steps.
     """
 
-    geometry: DamGeometry
     grid: object
     field: object
     tags: object
     phi: object
-    penalty: PenaltyConfig
+    evolution: EvolutionConfig
     assumption_report: object
     eps0: float
     barrier: object
-    dt: float
-    n_steps: int
-    method: str
-    tol_newton: float
     every_n_steps: int
     data: object = None
 
@@ -264,9 +261,10 @@ def pose_problem(cfg):
         return solve_stationary(make_barrier_data(eps0, geometry)[k], field, grid, tags, pen,
                                 tol_newton=tol_newton)
 
-    return Problem(geometry=geometry, grid=grid, field=field, tags=tags, phi=phi, penalty=pen,
-                   assumption_report=report, eps0=eps0, barrier=barrier, dt=dt,
-                   n_steps=n_steps, method=v["solver"]["method"], tol_newton=tol_newton,
+    evolution = EvolutionConfig(dt=dt, n_steps=n_steps, penalty=pen, tol_newton=tol_newton,
+                                method=v["solver"]["method"])
+    return Problem(grid=grid, field=field, tags=tags, phi=phi, evolution=evolution,
+                   assumption_report=report, eps0=eps0, barrier=barrier,
                    every_n_steps=every_n_steps)
 
 
@@ -277,8 +275,9 @@ def build_problem(cfg):
     problem = pose_problem(cfg)
     if cfg.mode in ("unsteady", "certify"):
         u0, chi0 = build_initial(cfg, problem.grid, problem.barrier)
-        problem.data = ProblemData(alpha=problem.penalty.alpha, T_final=cfg.values["time"]["t"],
-                                   eps0=problem.eps0, phi=problem.phi, u0=u0, chi0=chi0)
+        problem.data = ProblemData(alpha=problem.evolution.penalty.alpha,
+                                   T_final=cfg.values["time"]["t"], eps0=problem.eps0,
+                                   phi=problem.phi, u0=u0, chi0=chi0)
     return problem
 
 

@@ -23,16 +23,21 @@ TOL_DIV = 1e-10
 class PermeabilityField:
     """Tensor-valued coefficient field on the closed rectangle ``geometry``.
 
-    ``tensor`` evaluates (a11, a12, a22) on numpy arrays of coordinates.
-    ``geometry`` is the DamGeometry the field is defined on; ``None`` means
-    any rectangle.
+    ``tensor`` evaluates (a11, a12, a22) on two float arrays of coordinates of
+    one shape; an entry may be a scalar or any array that broadcasts to that
+    shape.  ``geometry`` is the DamGeometry the field is defined on; ``None``
+    means any rectangle.
     """
 
     tensor: Callable
     geometry: object = None
 
     def __call__(self, x1, x2):
-        return self.tensor(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+        """(a11, a12, a22) at the points (x1, x2): three read-only float arrays
+        of the shape x1 and x2 broadcast to; a constant entry takes no memory."""
+        x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+        return tuple(np.broadcast_to(np.asarray(entry, dtype=float), x1.shape)
+                     for entry in self.tensor(x1, x2))
 
     def check_grid(self, grid):
         """Raise InvalidArgument if the field is defined on another rectangle than ``grid``."""
@@ -57,42 +62,23 @@ class AssumptionReport:
 
 
 def identity_field(geometry=None):
-    def tensor(x1, x2):
-        one = np.ones(np.broadcast(x1, x2).shape)
-        return one, np.zeros_like(one), one
-
-    return PermeabilityField(tensor, geometry=geometry)
+    return constant_anisotropic_field(geometry=geometry)
 
 
 def layered_field(a11=1.0, a22_base=1.0, a22_slope=0.0, geometry=None):
     """Diagonal field diag(a11, a22_base + a22_slope * x2)."""
-
-    def tensor(x1, x2):
-        shape = np.broadcast(x1, x2).shape
-        return (np.full(shape, float(a11)), np.zeros(shape),
-                np.broadcast_to(a22_base + a22_slope * np.asarray(x2, dtype=float), shape).copy())
-
-    return PermeabilityField(tensor, geometry=geometry)
+    return PermeabilityField(lambda x1, x2: (a11, 0.0, a22_base + a22_slope * x2),
+                             geometry=geometry)
 
 
 def smooth_field(a11, a12, a22, geometry=None):
     """Analytic field from three callables (x1, x2) -> entry value."""
-
-    def tensor(x1, x2):
-        shape = np.broadcast(x1, x2).shape
-        x1 = np.broadcast_to(np.asarray(x1, dtype=float), shape)
-        x2 = np.broadcast_to(np.asarray(x2, dtype=float), shape)
-        return (np.broadcast_to(a11(x1, x2), shape).astype(float),
-                np.broadcast_to(a12(x1, x2), shape).astype(float),
-                np.broadcast_to(a22(x1, x2), shape).astype(float))
-
-    return PermeabilityField(tensor, geometry=geometry)
+    return PermeabilityField(lambda x1, x2: (a11(x1, x2), a12(x1, x2), a22(x1, x2)),
+                             geometry=geometry)
 
 
 def constant_anisotropic_field(a11=1.0, a12=0.0, a22=1.0, geometry=None):
-    return smooth_field(lambda x1, x2: np.full(x1.shape, float(a11)),
-                        lambda x1, x2: np.full(x1.shape, float(a12)),
-                        lambda x1, x2: np.full(x1.shape, float(a22)), geometry=geometry)
+    return PermeabilityField(lambda x1, x2: (a11, a12, a22), geometry=geometry)
 
 
 def grid_sampled_field(grid, a11_nodes, a12_nodes, a22_nodes):
@@ -137,7 +123,7 @@ def validate_assumptions(field, grid):
     """
     field.check_grid(grid)
     X1, X2 = grid.coords()
-    a11, a12, a22 = (np.broadcast_to(entry, grid.shape) for entry in field(X1, X2))
+    a11, a12, a22 = field(X1, X2)
 
     det = a11 * a22 - a12 ** 2
     bad = ~((a11 > 0) & (det > 0))

@@ -159,6 +159,15 @@ def test_gronwall_monitor_alignment_guard():
             gronwall_monitor(t1, t2, field, grid, tags, alpha=0.0)
 
 
+def test_gronwall_monitor_rejects_empty_or_unordered_times():
+    grid, tags, field = _setup(4)
+    zero = SolutionField(u=np.zeros(grid.shape), chi=np.zeros(grid.shape), time=0.0)
+    for times in ([], [0.0, 0.1, 0.1], [0.0, 0.2, 0.1]):
+        traj = Trajectory(times=times, snapshots=[zero] * len(times))
+        with pytest.raises(InvalidArgument, match="strictly increase"):
+            gronwall_monitor(traj, traj, field, grid, tags, alpha=0.0)
+
+
 def test_gronwall_monitor_identical_trajectories():
     grid, tags, field = _setup(8)
     prof = hydrostatic_profile(0.5, grid)

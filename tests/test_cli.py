@@ -2,6 +2,8 @@ import configparser
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,6 +113,17 @@ def test_validate_bad_config_exit_2(tmp_path):
     assert main(["validate", str(path)]) == EXIT_CONFIG
 
 
+def test_module_entry_point_sets_the_process_exit_status(tmp_path):
+    good, _ = _config(tmp_path, STATIONARY)
+    unknown, _ = _config(tmp_path, STATIONARY + "\n[physics]\nbeta = 1\n", name="unknown.ini")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for cfg, code in ((good, EXIT_OK), (unknown, EXIT_CONFIG)):
+        proc = subprocess.run([sys.executable, "-m", "damflow.cli", "validate", cfg], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+    assert "physics.beta" in proc.stderr
+
+
 def test_validate_lone_percent_exit_2(tmp_path, capsys):
     # configparser interpolates values, and a lone "%" is a syntax error
     cfg, _ = _config(tmp_path, STATIONARY, outname="a%b")
@@ -202,7 +215,7 @@ def test_contact_rounds_that_run_out_exit_4(tmp_path):
     cfg, out = _config(tmp_path, TWO_RESERVOIR.format(eps=1e-2))
     p = pose_problem(load_config(cfg))
     with pytest.raises(NonConvergence, match="contact rounds"):
-        solve_stationary(p.phi, p.field, p.grid, p.tags, p.penalty)
+        solve_stationary(p.phi, p.field, p.grid, p.tags, p.evolution.penalty)
     assert main(["run", cfg]) == EXIT_SOLVER
     assert not os.path.exists(os.path.join(out, "summary.json"))
 
@@ -304,26 +317,37 @@ def test_compare_incomplete_run_exit_3(tmp_path, capsys):
         corrupt[name] = tmp_path / f"corrupt_{name}"
         shutil.copytree(out, corrupt[name])
         (corrupt[name] / name).write_text("{")
-    # valid JSON of the wrong shape: no snapshot list, or an entry without a time
+    # valid JSON of the wrong shape: no snapshot list, an entry without a time,
+    # an empty snapshot list, or a summary that is not an object
     meta = read_json(os.path.join(out, "trajectory.json"))
+    no_snapshots = dict(meta, snapshots=[])
     del meta["snapshots"][1]["time"]
     misshapen = []
-    for k, text in enumerate(("{}", json.dumps(meta))):
+    for k, (name, text) in enumerate((("trajectory.json", "{}"),
+                                      ("trajectory.json", json.dumps(meta)),
+                                      ("trajectory.json", json.dumps(no_snapshots)),
+                                      ("summary.json", "[]"))):
         misshapen.append(tmp_path / f"misshapen_{k}")
         shutil.copytree(out, misshapen[-1])
-        (misshapen[-1] / "trajectory.json").write_text(text)
+        (misshapen[-1] / name).write_text(text)
     report_path = str(tmp_path / "cmp.json")
     for other, missing in ((tmp_path / "absent", "summary.json"),
                            (partial, "snapshot_00001.csv"),
                            (corrupt["summary.json"], "summary.json"),
                            (corrupt["trajectory.json"], "trajectory.json"),
                            (misshapen[0], "trajectory.json"),
-                           (misshapen[1], "trajectory.json")):
+                           (misshapen[1], "trajectory.json"),
+                           (misshapen[2], "trajectory.json"),
+                           (misshapen[3], "summary.json")):
         capsys.readouterr()
         assert main(["compare", out, str(other), "--out", report_path]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and err.count("\n") == 1
         assert missing in err
+    # two runs without snapshots agree on their (empty) times
+    assert main(["compare", str(misshapen[2]), str(misshapen[2]),
+                 "--out", report_path]) == EXIT_VALIDATION
+    assert "trajectory.json" in capsys.readouterr().err
     assert not os.path.exists(report_path)
 
 
@@ -395,10 +419,16 @@ def test_sweep_unknown_param_exit_2_before_any_output(tmp_path, capsys, param):
     assert not os.path.exists(out)
 
 
-def test_sweep_bad_value_exit_2_before_any_output(tmp_path, capsys):
+@pytest.mark.parametrize("param, values, code, named", [
+    ("penalty.eps", ["5e-2", "x"], EXIT_CONFIG, "penalty.eps"),
+    # values that parse but fail when their problem is built
+    ("output.every_n_steps", ["2", "0"], EXIT_CONFIG, "output.every_n_steps"),
+    ("penalty.eps", ["5e-2", "-1"], EXIT_VALIDATION, "penalty eps")],
+    ids=["unparsable", "every_n_steps_below_1", "negative_eps"])
+def test_sweep_bad_value_exit_2_before_any_output(tmp_path, capsys, param, values, code, named):
     cfg, out = _config(tmp_path, STATIONARY)
-    assert main(["sweep", cfg, "--param", "penalty.eps", "--values", "5e-2", "x"]) == EXIT_CONFIG
-    assert "penalty.eps" in capsys.readouterr().err
+    assert main(["sweep", cfg, "--param", param, "--values", *values]) == code
+    assert named in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

