@@ -8,7 +8,7 @@ its Gronwall functional F(t).  Small sup-energy certifies that the two
 trajectories agree; the cross term w*(chi1 - chi2) must stay nonnegative.
 """
 
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -21,12 +21,11 @@ TOL_UNIQUE = 1e-6
 
 @dataclass
 class EnergySeries:
-    """Dual energies E(t), their running integral F(t) and the fitted rate."""
+    """Dual energies E(t) and their running integral F(t)."""
 
     times: np.ndarray
     E: np.ndarray
     F: np.ndarray
-    C_fit: float
 
 
 @dataclass
@@ -40,9 +39,6 @@ class CertificateReport:
     scale: float = 1.0
     tol: float = TOL_UNIQUE
     passed: bool = False
-
-    def as_dict(self):
-        return asdict(self)
 
 
 class DualSolver:
@@ -165,22 +161,20 @@ def check_sandwich(u, lower, upper, tol):
     return OrderingReport(max_below_lower=below, max_above_upper=above, tol=tol)
 
 
-def extract_free_boundary(solution, grid, level=0.5):
-    """Per-column interface height: largest x2 where chi crosses ``level``.
+def extract_free_boundary(solution, grid):
+    """Per-column interface height: largest x2 where chi crosses 1/2.
 
     The crossing lies in the topmost cell [x2_j, x2_{j+1}] of the column
-    whose end values chi - level bracket 0 and differ, at the linear
+    whose end values chi - 1/2 bracket 0 and differ, at the linear
     interpolant's zero.  Returns (heights, status) with status in {"wet",
     "dry", "interface"}; columns without a crossing report height K if chi
-    >= level throughout (wet) and 0 otherwise (dry).
+    >= 1/2 throughout (wet) and 0 otherwise (dry).
     """
-    if not (0.0 < level < 1.0):
-        raise InvalidArgument(f"level must lie in (0, 1), got {level}")
     chi = np.asarray(solution.chi, dtype=float)
-    lo, hi = chi[:-1] - level, chi[1:] - level
+    lo, hi = chi[:-1] - 0.5, chi[1:] - 0.5
     brackets = (lo != hi) & (np.minimum(lo, hi) <= 0.0) & (np.maximum(lo, hi) >= 0.0)
     has = brackets.any(axis=0)
-    wet = np.all(chi >= level, axis=0)
+    wet = np.all(chi >= 0.5, axis=0)
     heights = np.where(wet, grid.geometry.K, 0.0)
     crossing = np.flatnonzero(has)
     j = grid.ny - 1 - np.argmax(brackets[::-1, crossing], axis=0)
@@ -228,17 +222,16 @@ def gronwall_monitor(traj1, traj2, field, grid, tags, alpha):
 
     F = _cumtrapz(times, E)
     X = _cumtrapz(times, cross)
-    C_fit = _fit_growth_rate(times, F)
 
     M = max(float(np.max(np.abs(s.u))) for s in traj1.snapshots + traj2.snapshots)
     scale = (alpha * M + 1.0) ** 2 * grid.geometry.area
     sup_E = float(np.max(E))
     report = CertificateReport(
-        sup_E=sup_E, F_final=float(F[-1]), C_fit=C_fit,
+        sup_E=sup_E, F_final=float(F[-1]), C_fit=_fit_growth_rate(times, F),
         cross_term_min=float(np.min(X)), sign_min=sign_check(traj1, traj2),
         scale=scale, tol=TOL_UNIQUE,
         passed=bool(sup_E <= TOL_UNIQUE * scale))
-    return EnergySeries(times=times, E=E, F=F, C_fit=C_fit), report
+    return EnergySeries(times=times, E=E, F=F), report
 
 
 def _cumtrapz(times, y):

@@ -10,6 +10,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .certify import gronwall_monitor
 from .config import (ConfigError, build_problem, load_config, output_dir, pose_problem,
                      resolve_path)
@@ -80,7 +82,7 @@ def cmd_validate(config_path):
     cfg = load_config(config_path)
     problem = build_problem(cfg)
     print(json.dumps({"mode": cfg.mode, "valid": True,
-                      "assumptions": problem.assumption_report.as_dict()}, indent=2))
+                      "assumptions": dataclasses.asdict(problem.assumption_report)}, indent=2))
     return EXIT_OK
 
 
@@ -100,8 +102,8 @@ def _execute(cfg, problem, out):
                "grid": {"nx": grid.nx, "ny": grid.ny},
                "alpha": problem.evolution.penalty.alpha,
                "eps": problem.evolution.penalty.eps,
-               "assumptions": problem.assumption_report.as_dict(),
-               **PIPELINES[cfg.mode](problem, out)}
+               "assumptions": dataclasses.asdict(problem.assumption_report),
+               "mode": cfg.mode, "complete": True, **PIPELINES[cfg.mode](problem, out)}
     write_json(os.path.join(out, "summary.json"), summary)
     return (EXIT_CHECK_FAILED if summary["failures"] else EXIT_OK), summary
 
@@ -111,9 +113,8 @@ def _run_stationary(problem, out):
     solve = solve_stationary(problem.phi, problem.field, problem.grid, problem.tags,
                              ev.penalty, tol_newton=ev.tol_newton, method=ev.method)
     write_solution_csv(os.path.join(out, "solution.csv"), problem.grid, solve.solution_field())
-    return {"mode": "stationary", "residual_norm": solve.residual_norm,
-            "newton_iters": solve.newton_iters, "method": solve.method, **solve.diagnostics,
-            "complete": True, "failures": []}
+    return {"residual_norm": solve.residual_norm, "newton_iters": solve.newton_iters,
+            "method": solve.method, **solve.diagnostics, "failures": []}
 
 
 def _simulate(problem, evolution):
@@ -132,7 +133,7 @@ def _write_trajectory(problem, traj, out):
             written.append({"file": name, "time": snap.time})
     diag = [dataclasses.asdict(d) for d in traj.diagnostics]
     write_json(os.path.join(out, "trajectory.json"),
-               {"times": list(traj.times), "snapshots": written, "diagnostics": diag})
+               {"times": traj.times, "snapshots": written, "diagnostics": diag})
     return diag
 
 
@@ -148,8 +149,8 @@ def _run_unsteady(problem, out):
     worst_mass = max((d["mass_balance_rel"] for d in diag), default=0.0)
     if worst_mass > MASS_BALANCE_TOL:
         failures.append(f"mass balance {worst_mass} exceeds {MASS_BALANCE_TOL}")
-    return {"mode": "unsteady", "times": list(traj.times), "complementarity_max": comp,
-            "mass_balance_worst": worst_mass, "complete": True, "failures": failures}
+    return {"times": traj.times, "complementarity_max": comp,
+            "mass_balance_worst": worst_mass, "failures": failures}
 
 
 def _run_certify(problem, out):
@@ -159,10 +160,10 @@ def _run_certify(problem, out):
     series, report = gronwall_monitor(traj_n, traj_p, problem.field, problem.grid,
                                       problem.tags, problem.evolution.penalty.alpha)
     write_energy_csv(os.path.join(out, "energy.csv"), series)
-    write_json(os.path.join(out, "certificate.json"), report.as_dict())
+    certificate = dataclasses.asdict(report)
+    write_json(os.path.join(out, "certificate.json"), certificate)
     failures = [] if report.passed else [f"sup_E {report.sup_E} above {report.tol * report.scale}"]
-    return {"mode": "certify", "complete": True, "failures": failures,
-            "certificate": report.as_dict()}
+    return {"failures": failures, "certificate": certificate}
 
 
 PIPELINES = {"stationary": _run_stationary, "unsteady": _run_unsteady, "certify": _run_certify}
@@ -198,25 +199,31 @@ def load_run(run_dir):
     problem = pose_problem(load_config(artifact("config.ini")))
     snaps = [load_solution_csv(artifact(entry["file"]), problem.grid, time=entry["time"])
              for entry in entries]
-    traj = Trajectory(times=[s.time for s in snaps], snapshots=snaps)
-    return summary, problem, traj
+    return summary, problem, Trajectory(snapshots=snaps)
 
 
 def cmd_compare(dir_a, dir_b, out_path):
     summary_a, problem_a, traj_a = load_run(dir_a)
-    summary_b, _, traj_b = load_run(dir_b)
+    summary_b, problem_b, traj_b = load_run(dir_b)
 
     mismatched = [key for key in ("geometry", "grid", "alpha", "eps")
                   if summary_a.get(key) != summary_b.get(key)]
-    if [s.time for s in traj_a.snapshots] != [s.time for s in traj_b.snapshots]:
+    if traj_a.times != traj_b.times:
         mismatched.append("times")
+    # the monitor poses both runs on run a's field, so the fields must agree;
+    # nodal samples decide it for every configurable kind
+    nodes = problem_a.grid.coords()
+    if not mismatched and not all(map(np.array_equal, problem_a.field(*nodes),
+                                      problem_b.field(*nodes))):
+        mismatched.append("permeability")
     if mismatched:
         raise IncompatibleRuns(f"runs disagree on {mismatched}", mismatched_keys=mismatched)
 
     series, report = gronwall_monitor(traj_a, traj_b, problem_a.field, problem_a.grid,
                                       problem_a.tags, problem_a.evolution.penalty.alpha)
-    write_json(out_path, report.as_dict())
-    print(json.dumps(report.as_dict(), indent=2))
+    certificate = dataclasses.asdict(report)
+    write_json(out_path, certificate)
+    print(json.dumps(certificate, indent=2))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

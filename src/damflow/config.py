@@ -281,11 +281,11 @@ def build_problem(cfg):
     return problem
 
 
-def output_dir(cfg, override=None):
-    root = override or os.environ.get("DAMFLOW_OUT")
+def output_dir(cfg, override):
+    """The configured output directory, or its last component under ``override``."""
     configured = cfg.values["output"]["dir"]
-    if root:
-        return os.path.join(root, os.path.basename(configured))
+    if override:
+        return os.path.join(override, os.path.basename(configured))
     return resolve_path(configured, cfg.path)
 
 

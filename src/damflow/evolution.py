@@ -37,10 +37,6 @@ class EvolutionConfig:
             raise InvalidArgument(f"need a finite dt > 0 and n_steps >= 1, "
                                   f"got {self.dt}, {self.n_steps}")
 
-    @property
-    def T(self):
-        return self.dt * self.n_steps
-
 
 @dataclass
 class StepDiagnostics:
@@ -61,12 +57,12 @@ class StepDiagnostics:
 class Trajectory:
     """Snapshots at t = 0, dt, ..., T plus per-step solver diagnostics."""
 
-    times: list
     snapshots: list
     diagnostics: list = dc_field(default_factory=list)
 
-    def __len__(self):
-        return len(self.snapshots)
+    @property
+    def times(self):
+        return [s.time for s in self.snapshots]
 
     @property
     def final(self):
@@ -182,10 +178,9 @@ def solve_unsteady(data, field, grid, tags, config, v1eps=None):
         u0, chi0 = project_initial(data, v1eps, config.penalty)
     stepper = _Stepper(field, grid, tags, data.phi, config)
     state = SolutionField(u=u0, chi=chi0, time=0.0)
-    traj = Trajectory(times=[0.0], snapshots=[state], diagnostics=[])
+    traj = Trajectory(snapshots=[state])
     for _ in range(config.n_steps):
         state, diag = step(state, stepper)
-        traj.times.append(state.time)
         traj.snapshots.append(state)
         traj.diagnostics.append(diag)
     return traj

@@ -11,11 +11,12 @@ time stepper and the per-step mass ledger tight; a polish step whose Krylov
 solve breaks down ends the polish instead of factoring the Jacobian.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import InvalidArgument, NonConvergence
 
 # the nonlinear solves stop at TOL_NEWTON * (1 + |r_0|) unless told otherwise
 TOL_NEWTON = 1e-9
@@ -50,9 +51,14 @@ def newton_picard_solve(v0, residual_fn, jacobian_fn, picard_fn, linsolver,
 
     ``method`` selects the primary path ("newton" or "picard"); when it
     stalls, the other path continues from where it stopped, and the method
-    reads "newton+picard" or "picard+newton".  Raises NonConvergence when
-    both paths miss the tolerance.
+    reads "newton+picard" or "picard+newton".  Raises InvalidArgument for
+    any other method or a tol_newton that is not a finite number above 0,
+    and NonConvergence when both paths miss the tolerance.
     """
+    if method not in ("newton", "picard"):
+        raise InvalidArgument(f"method must be newton or picard, got {method!r}")
+    if not (tol_newton > 0 and math.isfinite(tol_newton)):
+        raise InvalidArgument(f"tol_newton must be a finite number above 0, got {tol_newton}")
     r = residual_fn(v0)
     r0n = float(np.linalg.norm(r))
     target = tol_newton * (1.0 + r0n)

@@ -8,7 +8,7 @@ interpolation (loadable from CSV).  ``validate_assumptions`` is the one check
 of a field against the hypotheses of the uniqueness theorem.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -56,9 +56,6 @@ class AssumptionReport:
     N_est: float
     div_ae_min: float
     div_sign_ok: bool
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def identity_field(geometry=None):

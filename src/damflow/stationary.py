@@ -19,7 +19,6 @@ from .penalty import (g_eps, g_eps_derivative, heaviside_eps,
 from .problem_data import SolutionField
 
 TOL_NEG = 1e-10
-TOL_CHI = 1e-2
 
 
 @dataclass

@@ -106,8 +106,7 @@ def test_steklov_operators_on_a_field_at_irregular_times():
 
 
 def _trajectory(us, chis):
-    return Trajectory(times=[0.1 * k for k in range(len(us))],
-                      snapshots=[SolutionField(u=np.array(u), chi=np.array(chi), time=0.1 * k)
+    return Trajectory(snapshots=[SolutionField(u=np.array(u), chi=np.array(chi), time=0.1 * k)
                                  for k, (u, chi) in enumerate(zip(us, chis))])
 
 
@@ -135,8 +134,6 @@ def test_extract_free_boundary_hydrostatic():
     heights, status = extract_free_boundary(prof, grid)
     assert all(s == "interface" for s in status)
     np.testing.assert_allclose(heights, 0.5, atol=grid.h2)
-    with pytest.raises(InvalidArgument):
-        extract_free_boundary(prof, grid, level=1.5)
 
 
 def test_extract_free_boundary_wet_and_dry_columns():
@@ -149,21 +146,25 @@ def test_extract_free_boundary_wet_and_dry_columns():
     assert status[-1] == "dry" and heights[-1] == 0.0
 
 
+def _zeros(grid, times):
+    """A trajectory of zero snapshots at ``times``."""
+    return Trajectory(snapshots=[SolutionField(u=np.zeros(grid.shape), chi=np.zeros(grid.shape),
+                                               time=t) for t in times])
+
+
 def test_gronwall_monitor_alignment_guard():
     grid, tags, field = _setup(4)
-    zero = SolutionField(u=np.zeros(grid.shape), chi=np.zeros(grid.shape), time=0.0)
-    t1 = Trajectory(times=[0.0, 0.1], snapshots=[zero, zero])
+    t1 = _zeros(grid, [0.0, 0.1])
     for times, message in (([0.0], "different lengths"), ([0.0, 0.2], "different times")):
-        t2 = Trajectory(times=times, snapshots=[zero] * len(times))
+        t2 = _zeros(grid, times)
         with pytest.raises(InvalidArgument, match=message):
             gronwall_monitor(t1, t2, field, grid, tags, alpha=0.0)
 
 
 def test_gronwall_monitor_rejects_empty_or_unordered_times():
     grid, tags, field = _setup(4)
-    zero = SolutionField(u=np.zeros(grid.shape), chi=np.zeros(grid.shape), time=0.0)
     for times in ([], [0.0, 0.1, 0.1], [0.0, 0.2, 0.1]):
-        traj = Trajectory(times=times, snapshots=[zero] * len(times))
+        traj = _zeros(grid, times)
         with pytest.raises(InvalidArgument, match="strictly increase"):
             gronwall_monitor(traj, traj, field, grid, tags, alpha=0.0)
 
@@ -172,7 +173,7 @@ def test_gronwall_monitor_identical_trajectories():
     grid, tags, field = _setup(8)
     prof = hydrostatic_profile(0.5, grid)
     snaps = [SolutionField(u=prof.u, chi=prof.chi, time=t) for t in (0.0, 0.1, 0.2)]
-    traj = Trajectory(times=[0.0, 0.1, 0.2], snapshots=snaps)
+    traj = Trajectory(snapshots=snaps)
     series, report = gronwall_monitor(traj, traj, field, grid, tags, alpha=0.3)
     assert report.sup_E == 0.0
     assert report.passed
@@ -184,10 +185,10 @@ def test_gronwall_monitor_flags_large_difference():
     grid, tags, field = _setup(8)
     lo = hydrostatic_profile(0.2, grid)
     hi = hydrostatic_profile(0.8, grid)
-    t_lo = Trajectory(times=[0.0, 0.1], snapshots=[
+    t_lo = Trajectory(snapshots=[
         SolutionField(u=lo.u, chi=lo.chi, time=0.0),
         SolutionField(u=lo.u, chi=lo.chi, time=0.1)])
-    t_hi = Trajectory(times=[0.0, 0.1], snapshots=[
+    t_hi = Trajectory(snapshots=[
         SolutionField(u=hi.u, chi=hi.chi, time=0.0),
         SolutionField(u=hi.u, chi=hi.chi, time=0.1)])
     _, report = gronwall_monitor(t_lo, t_hi, field, grid, tags, alpha=0.3)
@@ -198,7 +199,7 @@ def test_gronwall_monitor_flags_large_difference():
 def test_gronwall_monitor_rejects_snapshots_off_the_grid():
     grid, tags, field = _setup(8)
     small = hydrostatic_profile(0.5, build_grid(grid.geometry, 4, 4))
-    traj = Trajectory(times=[0.0], snapshots=[small])
+    traj = Trajectory(snapshots=[small])
     with pytest.raises(InvalidArgument, match=r"shape \(5, 5\).*\(9, 9\)"):
         gronwall_monitor(traj, traj, field, grid, tags, alpha=0.3)
 

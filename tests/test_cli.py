@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import json
 import os
 import shutil
@@ -177,7 +178,7 @@ def test_validate_reports_the_configured_field(tmp_path, capsys, permeability, m
     assert main(["validate", cfg]) == EXIT_OK
     geometry = DamGeometry(1.0, 1.0)
     expected = validate_assumptions(make_field(geometry), build_grid(geometry, 16, 16))
-    assert json.loads(capsys.readouterr().out)["assumptions"] == expected.as_dict()
+    assert json.loads(capsys.readouterr().out)["assumptions"] == dataclasses.asdict(expected)
 
 
 def test_validation_failure_exit_3(tmp_path):
@@ -248,17 +249,11 @@ def test_unsteady_mass_imbalance_fails_the_run(tmp_path, monkeypatch):
     assert any("mass balance" in f for f in summary["failures"])
 
 
-def test_out_override_and_env(tmp_path, monkeypatch):
+def test_out_override(tmp_path):
     cfg, _ = _config(tmp_path, STATIONARY)
     override = tmp_path / "cli_out"
     assert main(["run", cfg, "--out", str(override)]) == EXIT_OK
     assert (override / "out" / "solution.csv").exists()
-
-    env_root = tmp_path / "env_out"
-    monkeypatch.setenv("DAMFLOW_OUT", str(env_root))
-    cfg2, _ = _config(tmp_path, STATIONARY, name="run_env.ini")
-    assert main(["run", cfg2]) == EXIT_OK
-    assert (env_root / "out" / "solution.csv").exists()
 
 
 def test_solver_failure_exit_4(tmp_path):
@@ -293,6 +288,34 @@ def test_compare_runs_at_other_times_exit_3(tmp_path):
         cli.cmd_compare(out, out2, str(report_path))
     assert info.value.mismatched_keys == ["times"]
     assert not report_path.exists()
+
+
+def _refused_pair(tmp_path, text_b):
+    """Run UNSTEADY and ``text_b``, compare them in both orders, and return
+    the keys each order refuses on."""
+    cfg, out = _config(tmp_path, UNSTEADY)
+    cfg2, out2 = _config(tmp_path, text_b, name="run2.ini", outname="out2")
+    assert main(["run", cfg]) == EXIT_OK and main(["run", cfg2]) == EXIT_OK
+    report_path = tmp_path / "cmp.json"
+    refused = []
+    for dir_a, dir_b in ((out, out2), (out2, out)):
+        assert main(["compare", dir_a, dir_b, "--out", str(report_path)]) == EXIT_VALIDATION
+        with pytest.raises(IncompatibleRuns) as info:
+            cli.cmd_compare(dir_a, dir_b, str(report_path))
+        refused.append(info.value.mismatched_keys)
+    assert not report_path.exists()
+    return refused
+
+
+def test_compare_runs_at_other_eps_exit_3(tmp_path):
+    assert _refused_pair(tmp_path, UNSTEADY.replace("eps = 5e-2", "eps = 0.1")) == [["eps"]] * 2
+
+
+def test_compare_runs_on_other_fields_exit_3_in_either_order(tmp_path):
+    # the monitor evaluates both runs on the first run's field, so without
+    # this refusal its verdict could depend on the argument order
+    layered = UNSTEADY + "\n[permeability]\nkind = layered\na22_slope = 5.0\n"
+    assert _refused_pair(tmp_path, layered) == [["permeability"]] * 2
 
 
 def test_compare_stored_config_with_a_bad_value_exit_2(tmp_path, capsys):

@@ -167,12 +167,8 @@ def test_unknown_permeability_kind_rejected(tmp_path):
         build_problem(cfg)
 
 
-def test_output_dir_resolution(tmp_path, monkeypatch):
+def test_output_dir_resolution(tmp_path):
     text = BASE + "\n[output]\ndir = results\n"
     cfg = load_config(_write(tmp_path, text))
-    monkeypatch.delenv("DAMFLOW_OUT", raising=False)
-    assert output_dir(cfg) == str(tmp_path / "results")
-    monkeypatch.setenv("DAMFLOW_OUT", "/elsewhere")
-    assert output_dir(cfg) == os.path.join("/elsewhere", "results")
-    # an explicit override beats the environment
+    assert output_dir(cfg, None) == str(tmp_path / "results")
     assert output_dir(cfg, "/override") == os.path.join("/override", "results")

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from damflow import (DamGeometry, PenaltyConfig, build_grid, classify_boundary,
+                     hydrostatic_head, identity_field, solve_stationary)
 from damflow.assembly import LinearSolver, _line_prolongation
-from damflow.errors import NonConvergence
-from damflow.nonlinear import newton_picard_solve
+from damflow.errors import InvalidArgument, NonConvergence
+from damflow.nonlinear import TOL_NEWTON, newton_picard_solve
 
 # fixed point of v = cos(v), solved componentwise
 _STAR = 0.7390851332151607
@@ -41,6 +43,23 @@ def test_converges_to_fixed_point(method):
     assert stats.iters >= 1
     # every accepted step lowers |r|, so the returned iterate is the last one
     assert np.linalg.norm(residual(v)) == stats.residual_norm
+
+
+@pytest.mark.parametrize("method, tol_newton", [
+    ("bogus", TOL_NEWTON), ("Newton", TOL_NEWTON), ("newton", -1.0), ("picard", 0.0),
+    ("newton", float("nan")), ("picard", float("inf"))])
+def test_driver_rejects_an_unknown_method_or_a_bad_tolerance(method, tol_newton):
+    n = 4
+    with pytest.raises(InvalidArgument):
+        newton_picard_solve(np.zeros(n), *_fixed_point_fns(n), _solver(n),
+                            tol_newton=tol_newton, method=method)
+    # the stationary solver reaches the driver's checks before it solves anything
+    geom = DamGeometry(1.0, 1.0)
+    grid = build_grid(geom, 8, 8)
+    phi = hydrostatic_head(0.5)
+    with pytest.raises(InvalidArgument):
+        solve_stationary(phi, identity_field(geom), grid, classify_boundary(grid, phi),
+                         PenaltyConfig(eps=0.1), tol_newton=tol_newton, method=method)
 
 
 def test_tolerance_is_relative_to_initial_residual():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,7 @@ def test_identity_field_report():
     assert rep.Lambda_est == pytest.approx(1.0)
     assert rep.N_est == pytest.approx(0.0)
     assert rep.div_sign_ok
-    assert set(rep.as_dict()) == {"lambda_est", "Lambda_est", "N_est", "div_ae_min",
+    assert set(dataclasses.asdict(rep)) == {"lambda_est", "Lambda_est", "N_est", "div_ae_min",
                                   "div_sign_ok"}
 
 

@@ -64,3 +64,8 @@ def test_complementarity_residual():
     chi = np.array([[1.0, 0.0], [0.5, 1.0]])
     f = SolutionField(u=u, chi=chi, time=0.0)
     assert f.complementarity_residual() == pytest.approx(0.05)
+
+
+def test_solution_field_rejects_mismatched_shapes():
+    with pytest.raises(InvalidArgument, match="shape mismatch"):
+        SolutionField(u=np.zeros((3, 3)), chi=np.zeros((3, 4)))

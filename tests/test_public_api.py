@@ -1,10 +1,14 @@
-"""The public surface of damflow, pinned: the names the package exports and
-the number of keyword options with a default.  A change to either must edit
-this file, so it is always a deliberate one (and gets a CHANGES.md line)."""
+"""The public surface of damflow, pinned: the names the package exports,
+the number of keyword options with a default, and that no module reads the
+environment.  A change to any must edit this file, so it is always a
+deliberate one (and gets a CHANGES.md line)."""
 
+import ast
 import dataclasses
+import glob
 import importlib
 import inspect
+import os
 import pkgutil
 import types
 
@@ -26,7 +30,8 @@ EXPORTS = {
     "steklov_derivative", "step", "two_reservoir_head", "validate_assumptions",
 }
 
-KEYWORD_OPTIONS = 26
+KEYWORD_OPTIONS = 24
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
 def test_exported_names():
@@ -64,3 +69,17 @@ def _keyword_options():
 def test_keyword_option_count():
     options = _keyword_options()
     assert len(options) == KEYWORD_OPTIONS, "\n".join(options)
+
+
+def test_no_module_reads_the_environment():
+    """A run is set by its config file and command line alone: no module
+    names ``os.environ`` or ``os.getenv``, as an attribute, a name or an
+    import."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(damflow.__file__), "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        found += [f"{os.path.basename(path)}:{getattr(node, 'lineno', '?')}"
+                  for node in ast.walk(tree)
+                  if {getattr(node, key, None) for key in ("attr", "id", "name")} & ENVIRONMENT]
+    assert not found, "\n".join(found)
