@@ -48,12 +48,12 @@ def test_converges_to_fixed_point(method):
 @pytest.mark.parametrize("method, tol_newton", [
     ("bogus", TOL_NEWTON), ("Newton", TOL_NEWTON), ("newton", -1.0), ("picard", 0.0),
     ("newton", float("nan")), ("picard", float("inf"))])
-def test_driver_rejects_an_unknown_method_or_a_bad_tolerance(method, tol_newton):
+def test_newton_picard_solve_rejects_an_unknown_method_or_a_bad_tolerance(method, tol_newton):
     n = 4
     with pytest.raises(InvalidArgument):
         newton_picard_solve(np.zeros(n), *_fixed_point_fns(n), _solver(n),
                             tol_newton=tol_newton, method=method)
-    # the stationary solver reaches the driver's checks before it solves anything
+    # the stationary solver reaches these checks before it solves anything
     geom = DamGeometry(1.0, 1.0)
     grid = build_grid(geom, 8, 8)
     phi = hydrostatic_head(0.5)
