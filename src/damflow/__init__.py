@@ -1,8 +1,8 @@
 """damflow: penalized solver and uniqueness certifier for the unsteady
 dam problem in a heterogeneous rectangular porous medium."""
 
-from .geometry import (BoundaryTags, DamGeometry, Grid, NodeKind, build_grid,
-                       classify_boundary, dirichlet_values)
+from .geometry import (BoundaryTags, DamGeometry, Grid, build_grid, classify_boundary,
+                       dirichlet_values)
 from .permeability import (AssumptionReport, PermeabilityField, constant_anisotropic_field,
                            grid_sampled_field, identity_field, layered_field, load_field_csv,
                            smooth_field, validate_assumptions)

@@ -46,15 +46,13 @@ class DualSolver:
     pervious boundary and the natural condition on the bottom."""
 
     def __init__(self, field, grid, tags):
+        grid.check_nodal("boundary tags", tags.dirichlet_mask)
         self.grid = grid
         self.asm = Q1Assembler(grid, field)
-        # the whole pervious boundary is homogeneous Dirichlet, wet or dry
-        self.dmask = tags.dirichlet_mask
-        self.dflat = self.dmask.ravel()
-        self.A = self.asm.stiffness()
-        self.A_dir = apply_dirichlet_matrix(self.A, self.dflat)
+        # the whole pervious boundary is homogeneous Dirichlet
+        self.dflat = tags.dirichlet_mask.ravel()
         self.M = self.asm.mass()
-        self._lu = spla.splu(self.A_dir.tocsc())
+        self._lu = spla.splu(apply_dirichlet_matrix(self.asm.stiffness(), self.dflat).tocsc())
 
     def solve(self, eta):
         """Nodal dual potential for a nodal source; direct solve keeps the
@@ -170,6 +168,7 @@ def extract_free_boundary(solution, grid):
     "dry", "interface"}; columns without a crossing report height K if chi
     >= 1/2 throughout (wet) and 0 otherwise (dry).
     """
+    grid.check_nodal("solution", solution.chi)
     chi = np.asarray(solution.chi, dtype=float)
     lo, hi = chi[:-1] - 0.5, chi[1:] - 0.5
     brackets = (lo != hi) & (np.minimum(lo, hi) <= 0.0) & (np.maximum(lo, hi) >= 0.0)
@@ -194,10 +193,8 @@ def _check_aligned(traj1, traj2, grid):
         raise InvalidArgument("trajectory times must be nonempty and strictly increase")
     if not np.allclose(t1, t2, rtol=0, atol=1e-12 * max(1.0, float(t1[-1]))):
         raise InvalidArgument("trajectories are sampled at different times")
-    off_grid = [s.u.shape for s in traj1.snapshots + traj2.snapshots if s.u.shape != grid.shape]
-    if off_grid:
-        raise InvalidArgument(f"snapshots of shape {off_grid[0]} are not on the grid "
-                              f"of shape {grid.shape}")
+    for s in traj1.snapshots + traj2.snapshots:
+        grid.check_nodal("snapshot", s.u)
 
 
 def gronwall_monitor(traj1, traj2, field, grid, tags, alpha):
@@ -218,7 +215,7 @@ def gronwall_monitor(traj1, traj2, field, grid, tags, alpha):
         w = s1.u - s2.u
         dchi = s1.chi - s2.chi
         E[k] = dual.energy(dual.solve(alpha * w + dchi))
-        cross[k] = float(grid.flatten(w) @ (dual.M @ grid.flatten(dchi)))
+        cross[k] = dual.source_pairing(w, dchi)
 
     F = _cumtrapz(times, E)
     X = _cumtrapz(times, cross)

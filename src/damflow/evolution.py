@@ -15,7 +15,7 @@ from .assembly import LinearSolver, Q1Assembler
 # not called here; perfbench/spans.py patches these two names on this module
 from .assembly import apply_dirichlet_matrix, apply_dirichlet_system  # noqa: F401
 from .errors import InvalidArgument, NonConvergence, StepFailure
-from .geometry import dirichlet_values
+from .geometry import dirichlet_values, whole_number
 from .nonlinear import TOL_NEWTON, newton_picard_solve
 from .penalty import PenaltyConfig, g_eps, heaviside_eps
 from .problem_data import SolutionField
@@ -33,6 +33,7 @@ class EvolutionConfig:
     method: str = "newton"
 
     def __post_init__(self):
+        object.__setattr__(self, "n_steps", whole_number("n_steps", self.n_steps))
         if not (self.dt > 0 and math.isfinite(self.dt)) or self.n_steps < 1:
             raise InvalidArgument(f"need a finite dt > 0 and n_steps >= 1, "
                                   f"got {self.dt}, {self.n_steps}")
@@ -170,10 +171,8 @@ def solve_unsteady(data, field, grid, tags, config, v1eps=None):
     """Time-step the penalized problem from data's initial pair, clipped
     first under the penalized upper barrier ``v1eps`` when one is given."""
     u0, chi0 = data.u0, data.chi0
-    for name, initial in (("u0", u0), ("chi0", chi0)):
-        if np.shape(initial) != grid.shape:
-            raise InvalidArgument(f"{name} of shape {np.shape(initial)} is not on the grid "
-                                  f"of shape {grid.shape}")
+    grid.check_nodal("u0", u0)
+    grid.check_nodal("chi0", chi0)
     if v1eps is not None:
         u0, chi0 = project_initial(data, v1eps, config.penalty)
     stepper = _Stepper(field, grid, tags, data.phi, config)

@@ -2,25 +2,24 @@
 
 The domain is the open rectangle (0, L) x (0, K).  Its boundary splits into
 the impervious bottom edge (including both bottom corners, so the bottom-flux
-condition stays contiguous) and the pervious remainder, which is further
-partitioned into wet and dry Dirichlet parts by the sign of the boundary
-head.
+condition stays contiguous) and the pervious remainder, where the head is
+pinned.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .errors import InvalidArgument, InvalidData
 
 
-class NodeKind(IntEnum):
-    INTERIOR = 0
-    IMPERVIOUS = 1      # bottom edge, natural no-flux condition
-    DIRICHLET_WET = 2   # pervious boundary where the head is positive
-    DIRICHLET_DRY = 3   # pervious boundary where the head vanishes
+def whole_number(name, n):
+    """``n`` as an int; InvalidArgument unless it is a real whole number."""
+    if not (isinstance(n, numbers.Real) and float(n).is_integer()):
+        raise InvalidArgument(f"{name} must be a whole number, got {n}")
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -31,8 +30,9 @@ class DamGeometry:
     K: float
 
     def __post_init__(self):
-        if not (self.L > 0 and self.K > 0):
-            raise InvalidArgument(f"dam dimensions must be positive, got L={self.L}, K={self.K}")
+        if not all(side > 0 and math.isfinite(side) for side in (self.L, self.K)):
+            raise InvalidArgument(f"dam dimensions must be finite and positive, "
+                                  f"got L={self.L}, K={self.K}")
 
     @property
     def area(self):
@@ -52,11 +52,8 @@ class Grid:
     ny: int
 
     def __post_init__(self):
-        for name in ("nx", "ny"):
-            n = getattr(self, name)
-            if not (isinstance(n, numbers.Real) and float(n).is_integer()):
-                raise InvalidArgument(f"{name} must be a whole number of cells, got {n}")
-            object.__setattr__(self, name, int(n))  # so n_nodes is an int too
+        for name in ("nx", "ny"):  # stored as ints, so n_nodes is an int too
+            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         if self.nx < 2 or self.ny < 2:
             raise InvalidArgument(f"need at least 2 cells per axis, got nx={self.nx}, ny={self.ny}")
 
@@ -89,20 +86,24 @@ class Grid:
     def flatten(self, a):
         return np.asarray(a).reshape(self.n_nodes)
 
+    def check_nodal(self, name, values):
+        """Raise InvalidArgument unless ``values`` has one entry per node."""
+        if np.shape(values) != self.shape:
+            raise InvalidArgument(f"{name} of shape {np.shape(values)} is not on the grid "
+                                  f"of shape {self.shape}")
+
 
 @dataclass(frozen=True)
 class BoundaryTags:
-    """Per-node boundary labels.
+    """The pinned (pervious) boundary nodes: ``dirichlet_mask`` is stored as
+    a read-only boolean copy of shape (ny+1, nx+1)."""
 
-    ``kind`` has shape (ny+1, nx+1) with interior nodes labeled INTERIOR.
-    """
+    dirichlet_mask: np.ndarray
 
-    kind: np.ndarray
-
-    @property
-    def dirichlet_mask(self):
-        """Nodes with an essential condition (the pervious boundary)."""
-        return (self.kind == NodeKind.DIRICHLET_WET) | (self.kind == NodeKind.DIRICHLET_DRY)
+    def __post_init__(self):
+        mask = np.array(self.dirichlet_mask, dtype=bool)
+        mask.flags.writeable = False
+        object.__setattr__(self, "dirichlet_mask", mask)
 
 
 def build_grid(geometry, nx, ny):
@@ -111,25 +112,14 @@ def build_grid(geometry, nx, ny):
 
 
 def classify_boundary(grid, phi):
-    """Label boundary nodes from the boundary head ``phi(x1, x2)``.
-
-    The bottom edge (j=0, corners included) is impervious.  Every other
-    boundary node is wet iff phi at the node is strictly positive, dry iff it
-    is zero.  A negative, NaN or infinite head anywhere on the pervious
-    boundary is rejected.
+    """Pin every boundary node but the impervious bottom edge (j=0, corners
+    included).  A negative, NaN or infinite head ``phi(x1, x2)`` anywhere on
+    the pinned set is rejected.
     """
-    kind = np.full(grid.shape, NodeKind.INTERIOR, dtype=np.int8)
-    boundary = np.zeros(grid.shape, dtype=bool)
-    boundary[0, :] = boundary[-1, :] = True
-    boundary[:, 0] = boundary[:, -1] = True
-
-    pervious = boundary.copy()
-    pervious[0, :] = False
-    head = _head_at(grid, pervious, phi)
-
-    kind[0, :] = NodeKind.IMPERVIOUS
-    kind[pervious] = np.where(head[pervious] > 0.0, NodeKind.DIRICHLET_WET, NodeKind.DIRICHLET_DRY)
-    return BoundaryTags(kind=kind)
+    pervious = np.zeros(grid.shape, dtype=bool)
+    pervious[-1, :] = pervious[1:, 0] = pervious[1:, -1] = True
+    _head_at(grid, pervious, phi)
+    return BoundaryTags(dirichlet_mask=pervious)
 
 
 def dirichlet_values(grid, tags, phi):
@@ -139,9 +129,7 @@ def dirichlet_values(grid, tags, phi):
     Raises InvalidArgument when ``tags`` are not on ``grid`` and InvalidData
     for a head that is negative, NaN or infinite.
     """
-    if tags.kind.shape != grid.shape:
-        raise InvalidArgument(f"boundary tags of shape {tags.kind.shape} are not on the grid "
-                              f"of shape {grid.shape}")
+    grid.check_nodal("boundary tags", tags.dirichlet_mask)
     return _head_at(grid, tags.dirichlet_mask, phi)
 
 

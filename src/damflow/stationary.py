@@ -93,22 +93,20 @@ class DamOperator:
         return apply_dirichlet_system(self._frozen(u), self.pinned)
 
 
-def hydrostatic_initial_guess(grid, tags, phi_flat):
+def hydrostatic_initial_guess(grid, dmask, phi_flat):
     """Hydrostatic extension of the boundary data, exact for hydrostatic runs.
 
-    Uses the highest head seen on the wetted pervious boundary:
+    ``dmask`` and ``phi_flat`` are the flat pinned mask and pinned values.
+    Uses the highest head seen on the wetted pinned boundary:
     v0(x) = (k* - x2)+ with k* = max(phi + x2 over {phi > 0}), clipped to
-    [0, K].  Dry pervious nodes carry no head information (their phi + x2
+    [0, K].  Dry pinned nodes carry no head information (their phi + x2
     would just report their own elevation), so they are excluded.
     """
-    _, X2 = grid.coords()
-    dmask = tags.dirichlet_mask
-    phi2d = phi_flat.reshape(grid.shape)
-    wet = dmask & (phi2d > 0.0)
-    heads = phi2d[wet] + X2[wet]
-    k_star = float(np.max(heads, initial=0.0))
-    v = np.clip(np.maximum(k_star - X2, 0.0), 0.0, grid.geometry.K).ravel()
-    v[dmask.ravel()] = phi_flat[dmask.ravel()]
+    x2 = grid.flatten(grid.coords()[1])
+    wet = dmask & (phi_flat > 0.0)
+    k_star = float(np.max(phi_flat[wet] + x2[wet], initial=0.0))
+    v = np.clip(k_star - x2, 0.0, grid.geometry.K)
+    v[dmask] = phi_flat[dmask]
     return v
 
 
@@ -151,7 +149,7 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON, meth
         e *= _EPS_LADDER_RATIO
     ladder.append(config.eps)
 
-    v = hydrostatic_initial_guess(grid, tags, phi_flat)
+    v = hydrostatic_initial_guess(grid, dmask, phi_flat)
     op = DamOperator(asm, config, dmask, phi_flat)
     # a guess that already meets the tolerance at config.eps needs no ladder
     if len(ladder) > 1 and np.linalg.norm(op.residual(v)) <= tol_newton:
@@ -170,7 +168,6 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON, meth
     # 1.17 -> 1.41 s (eps = 8e-3) on the two-reservoir dam at 128x64.
     # A loop that runs out raises rather than return a solution that carries
     # the unsettled reactions as mass.
-    contact_values = np.where(dmask, phi_flat, 0.0)
     active = np.zeros(v.size, dtype=bool)
     for rounds in range(_CONTACT_ROUNDS + 1):
         r = op.residual(v)
@@ -184,7 +181,7 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON, meth
                                  f"{int(release.sum())} to release",
                                  residual_norm=solves[-1].residual_norm)
         active = (active | grow) & ~release
-        v = solve(DamOperator(asm, config, dmask | active, contact_values),
+        v = solve(DamOperator(asm, config, dmask | active, phi_flat),
                   np.where(active, 0.0, v), "newton")
 
     v_min = float(np.min(v))

@@ -204,6 +204,29 @@ def test_gronwall_monitor_rejects_snapshots_off_the_grid():
         gronwall_monitor(traj, traj, field, grid, tags, alpha=0.3)
 
 
+@pytest.mark.parametrize("n_tags", [4, 16])
+def test_dual_solver_and_monitor_reject_tags_off_the_grid(n_tags):
+    grid, _, field = _setup(8)
+    _, tags, _ = _setup(n_tags)
+    prof = hydrostatic_profile(0.5, grid)
+    traj = Trajectory(snapshots=[SolutionField(u=prof.u, chi=prof.chi, time=t)
+                                 for t in (0.0, 0.1)])
+    shapes = fr"tags of shape \({n_tags + 1}, {n_tags + 1}\).*\(9, 9\)"
+    with pytest.raises(InvalidArgument, match=shapes):
+        DualSolver(field, grid, tags)
+    with pytest.raises(InvalidArgument, match=shapes):
+        gronwall_monitor(traj, traj, field, grid, tags, alpha=0.3)
+
+
+@pytest.mark.parametrize("n_solution", [4, 16])
+def test_extract_free_boundary_rejects_a_solution_off_the_grid(n_solution):
+    grid, _, _ = _setup(8)
+    prof = hydrostatic_profile(0.5, build_grid(grid.geometry, n_solution, n_solution))
+    with pytest.raises(InvalidArgument, match=fr"solution of shape \({n_solution + 1}, "
+                                              fr"{n_solution + 1}\).*\(9, 9\)"):
+        extract_free_boundary(prof, grid)
+
+
 def test_extract_free_boundary_takes_the_topmost_crossing():
     grid, tags, field = _setup(6)
     chi = np.zeros(grid.shape)

@@ -46,6 +46,17 @@ def test_config_validation():
     assert cfg.dt * cfg.n_steps == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("n_steps", [2.5, float("nan"), float("inf"), "3", None])
+def test_config_rejects_a_step_count_that_is_not_whole(n_steps):
+    with pytest.raises(InvalidArgument, match="n_steps must be a whole number"):
+        EvolutionConfig(dt=0.1, n_steps=n_steps, penalty=PenaltyConfig(eps=1e-2))
+
+
+def test_config_stores_a_whole_step_count_as_an_int():
+    cfg = EvolutionConfig(dt=0.1, n_steps=2.0, penalty=PenaltyConfig(eps=1e-2))
+    assert cfg.n_steps == 2 and type(cfg.n_steps) is int
+
+
 def test_steady_state_is_a_fixed_point():
     geom, grid, tags, field, phi0, phi1, pen = _barrier_setup()
     tags1 = classify_boundary(grid, phi1)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from damflow import (DamGeometry, Grid, InvalidArgument, InvalidData, NodeKind,
-                     build_grid, classify_boundary, dirichlet_values,
-                     hydrostatic_head)
+from damflow import (DamGeometry, Grid, InvalidArgument, InvalidData, build_grid,
+                     classify_boundary, dirichlet_values, hydrostatic_head)
 
 
 def test_geometry_rejects_nonpositive_sides():
@@ -11,6 +10,12 @@ def test_geometry_rejects_nonpositive_sides():
         DamGeometry(L=0.0, K=1.0)
     with pytest.raises(InvalidArgument):
         DamGeometry(L=2.0, K=-1.0)
+
+
+@pytest.mark.parametrize("L, K", [(float("inf"), 1.0), (2.0, float("inf")), (float("nan"), 1.0)])
+def test_geometry_rejects_sides_that_are_not_finite(L, K):
+    with pytest.raises(InvalidArgument, match="finite and positive"):
+        DamGeometry(L=L, K=K)
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 4), (4, 1), (1.9, 4)])
@@ -56,28 +61,20 @@ def test_flatten_orders_nodes_row_by_row():
 
 def test_bottom_row_is_impervious_including_corners():
     grid = build_grid(DamGeometry(1.0, 1.0), 4, 4)
-    tags = classify_boundary(grid, hydrostatic_head(0.5))
-    assert np.all(tags.kind[0, :] == NodeKind.IMPERVIOUS)
+    mask = classify_boundary(grid, hydrostatic_head(0.5)).dirichlet_mask
     # the corners belong to the bottom, not to the lateral sides
-    assert tags.kind[0, 0] == NodeKind.IMPERVIOUS
-    assert tags.kind[0, -1] == NodeKind.IMPERVIOUS
+    assert not mask[0, :].any()
 
 
-def test_pervious_boundary_split_by_wetting():
-    grid = build_grid(DamGeometry(1.0, 1.0), 4, 4)
-    tags = classify_boundary(grid, hydrostatic_head(0.5))
-    # lateral nodes below the reservoir level carry positive head
-    assert tags.kind[1, 0] == NodeKind.DIRICHLET_WET
-    assert tags.kind[3, 0] == NodeKind.DIRICHLET_DRY
-    assert tags.kind[4, 2] == NodeKind.DIRICHLET_DRY  # top edge
-    assert tags.kind[2, 2] == NodeKind.INTERIOR
-
-
-def test_dirichlet_mask_matches_kinds():
-    grid = build_grid(DamGeometry(1.0, 1.0), 6, 6)
-    tags = classify_boundary(grid, hydrostatic_head(0.3))
-    wetdry = (tags.kind == NodeKind.DIRICHLET_WET) | (tags.kind == NodeKind.DIRICHLET_DRY)
-    assert np.array_equal(tags.dirichlet_mask, wetdry)
+def test_dirichlet_mask_pins_the_rest_of_the_boundary_read_only():
+    grid = build_grid(DamGeometry(2.0, 1.0), 6, 4)
+    mask = classify_boundary(grid, hydrostatic_head(0.3)).dirichlet_mask
+    assert mask.dtype == bool and mask.shape == grid.shape
+    # the top row and both sides above the bottom row, wet or dry alike
+    assert mask[-1, :].all() and mask[1:, 0].all() and mask[1:, -1].all()
+    assert not mask[1:-1, 1:-1].any()
+    with pytest.raises(ValueError):
+        mask[1, 1] = True
 
 
 def test_negative_head_rejected():

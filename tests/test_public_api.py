@@ -17,7 +17,7 @@ import damflow
 EXPORTS = {
     "AssumptionReport", "AssumptionViolation", "BoundaryTags", "CertificateReport",
     "DamGeometry", "DamflowError", "DualSolver", "EnergySeries", "EvolutionConfig", "Grid",
-    "IncompatibleRuns", "InvalidArgument", "InvalidData", "MalformedCSV", "NodeKind",
+    "IncompatibleRuns", "InvalidArgument", "InvalidData", "MalformedCSV",
     "NonConvergence", "OrderingReport", "PenaltyConfig", "PermeabilityField",
     "ProblemData", "SolutionField", "StationarySolve", "StepFailure",
     "Trajectory", "build_grid", "check_sandwich",

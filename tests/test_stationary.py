@@ -58,7 +58,7 @@ def test_initial_residual_norm_is_the_hydrostatic_guess_at_first_eps():
     grid, tags, phi, field = _upper_barrier(24)
     solve = solve_stationary(phi, field, grid, tags, PenaltyConfig(eps=5e-3))
     phi_flat = dirichlet_values(grid, tags, phi).ravel()
-    v0 = hydrostatic_initial_guess(grid, tags, phi_flat)
+    v0 = hydrostatic_initial_guess(grid, tags.dirichlet_mask.ravel(), phi_flat)
     first_eps = PenaltyConfig(eps=stationary._EPS_RESOLVED_CELLS * grid.h2)
     r0 = DamOperator(Q1Assembler(grid, field), first_eps, tags.dirichlet_mask.ravel(),
                      v0).residual(v0)
@@ -169,7 +169,8 @@ def test_tags_of_another_grid_rejected():
 def test_initial_guess_uses_wet_nodes_only():
     grid, tags, phi, field = _setup(n=8, k=0.5)
     phi_flat = dirichlet_values(grid, tags, phi).ravel()
-    v0 = hydrostatic_initial_guess(grid, tags, phi_flat).reshape(grid.shape)
+    v0 = hydrostatic_initial_guess(grid, tags.dirichlet_mask.ravel(),
+                                   phi_flat).reshape(grid.shape)
     _, X2 = grid.coords()
     # dry pervious nodes must not inflate the inferred water level to K
     np.testing.assert_allclose(v0, np.maximum(0.5 - X2, 0.0), atol=1e-12)
