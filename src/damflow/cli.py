@@ -17,10 +17,12 @@ from .config import (ConfigError, build_problem, load_config, output_dir, pose_p
                      resolve_path)
 from .errors import DamflowError, IncompatibleRuns, NonConvergence
 from .evolution import Trajectory, solve_unsteady
-from .io import (atomic_write_text, read_json, snapshot_filename, write_energy_csv, write_json,
-                 write_solution_csv)
+from .io import (atomic_write_text, read_json, read_trajectory_store, snapshot_filename,
+                 write_energy_csv, write_json, write_solution_csv, write_trajectory_store)
 from .penalty import complementarity_bound
-from .problem_data import load_solution_csv
+from .problem_data import SolutionField
+# not called here; perfbench/spans.py patches this name on this module
+from .problem_data import load_solution_csv  # noqa: F401
 from .stationary import solve_stationary
 
 EXIT_OK = 0
@@ -124,13 +126,18 @@ def _simulate(problem, evolution):
 
 
 def _write_trajectory(problem, traj, out):
-    every = problem.every_n_steps
-    written = []
-    for idx, snap in enumerate(traj.snapshots):
-        if idx % every == 0 or idx == len(traj.snapshots) - 1:
-            name = snapshot_filename(idx)
-            write_solution_csv(os.path.join(out, name), problem.grid, snap)
-            written.append({"file": name, "time": snap.time})
+    """Write every ``every_n_steps``-th snapshot and the last one as a node
+    dump, the same snapshots to ``trajectory.npz``, and their index to
+    ``trajectory.json``."""
+    last = len(traj.snapshots) - 1
+    indexed = [idx for idx in range(last + 1) if idx % problem.every_n_steps == 0 or idx == last]
+    for idx in indexed:
+        write_solution_csv(os.path.join(out, snapshot_filename(idx)), problem.grid,
+                           traj.snapshots[idx])
+    write_trajectory_store(os.path.join(out, "trajectory.npz"), problem.grid,
+                           [traj.snapshots[idx] for idx in indexed])
+    written = [{"file": snapshot_filename(idx), "time": traj.snapshots[idx].time}
+               for idx in indexed]
     diag = [dataclasses.asdict(d) for d in traj.diagnostics]
     write_json(os.path.join(out, "trajectory.json"),
                {"times": traj.times, "snapshots": written, "diagnostics": diag})
@@ -169,12 +176,21 @@ def _run_certify(problem, out):
 PIPELINES = {"stationary": _run_stationary, "unsteady": _run_unsteady, "certify": _run_certify}
 
 
+def _is_time(value):
+    """A snapshot time is a finite real number; JSON's ``true`` is not one."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def load_run(run_dir):
     """Trajectory + problem objects reconstructed from a run directory.
 
-    Only the stored artifacts are read and the problem is posed, not
-    solved.  Raises IncompatibleRuns naming the first artifact the directory
-    lacks or whose JSON does not parse or has the wrong shape.
+    Only summary.json, trajectory.json (the snapshot times), config.ini and
+    trajectory.npz (the snapshots' fields) are read, and the problem is
+    posed, not solved.  Raises IncompatibleRuns naming the first artifact
+    the directory lacks, whose JSON does not parse or has the wrong shape,
+    or whose store does not hold one finite float64 (u, chi) pair per
+    indexed snapshot.
     """
     def artifact(name, read=None):
         path = os.path.join(run_dir, name)
@@ -192,13 +208,14 @@ def load_run(run_dir):
     traj_meta = artifact("trajectory.json", read_json)
     entries = traj_meta.get("snapshots") if isinstance(traj_meta, dict) else None
     if not isinstance(entries, list) or not entries or not all(
-            isinstance(e, dict) and isinstance(e.get("file"), str)
-            and isinstance(e.get("time"), (int, float)) for e in entries):
+            isinstance(e, dict) and _is_time(e.get("time")) for e in entries):
         raise IncompatibleRuns(f"run directory {run_dir} has a trajectory.json without a "
-                               "nonempty list of snapshots, each with a file and a time")
+                               "nonempty list of snapshots, each with a finite time")
     problem = pose_problem(load_config(artifact("config.ini")))
-    snaps = [load_solution_csv(artifact(entry["file"]), problem.grid, time=entry["time"])
-             for entry in entries]
+    u, chi = artifact("trajectory.npz",
+                      lambda path: read_trajectory_store(path, problem.grid, len(entries)))
+    snaps = [SolutionField(u=u[k], chi=chi[k], time=entry["time"])
+             for k, entry in enumerate(entries)]
     return summary, problem, Trajectory(snapshots=snaps)
 
 

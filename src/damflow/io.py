@@ -1,4 +1,5 @@
-"""On-disk artifacts: node-dump and permeability CSVs, JSON summaries.
+"""On-disk artifacts: node-dump and permeability CSVs, JSON summaries and
+the binary trajectory store.
 
 A node dump has the header ``i,j,x1,x2,u,chi`` and one row per grid node, j
 outer and i inner, with 17 significant digits so repeated runs round-trip
@@ -7,9 +8,12 @@ row per grid node, in any order.  Both are read by one numpy row reader that
 skips the header, ``#`` lines and blank lines; every defect of the file raises
 ``MalformedCSV``.  Every artifact is written atomically.  The ``i, j, x1, x2``
 cells of a node dump depend on the grid alone, so they are formatted once per
-grid into a template that each dump fills with u and chi.
+grid into a template that each dump fills with u and chi.  A trajectory
+store is an uncompressed ``.npz`` of float64 arrays ``u`` and ``chi``, one
+nodal slice per stored snapshot, so it reads back bit-exactly.
 """
 
+import contextlib
 import functools
 import io
 import json
@@ -17,6 +21,7 @@ import os
 import re
 import tempfile
 import warnings
+import zipfile
 
 import numpy as np
 
@@ -28,19 +33,37 @@ FIELD_HEADER = "x1,x2,a11,a12,a22"
 NODE_TOL = 1e-6
 
 
-def atomic_write_text(path, text):
-    """Write-temp-then-rename so interrupted runs never leave partial files."""
+def _umask():
+    """The process umask; reading it means setting it, so it is set back at once."""
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode):
+    """Open a temporary file beside ``path`` in ``mode`` (``"w"`` or
+    ``"wb"``) and rename it into place when the block ends, so interrupted
+    runs never leave partial files; a block that raises leaves no file.
+    The file gets the mode a plain ``open`` would give it, 0o666 less the
+    umask, not the 0o600 of the temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        with os.fdopen(fd, mode) as f:
+            os.fchmod(f.fileno(), 0o666 & ~_umask())
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text):
+    with atomic_open(path, "w") as f:
+        f.write(text)
 
 
 def write_json(path, obj):
@@ -148,3 +171,42 @@ def read_field_csv(path, grid):
 
 def snapshot_filename(step_index):
     return f"snapshot_{step_index:05d}.csv"
+
+
+def write_trajectory_store(path, grid, snapshots):
+    """Store the snapshots' u and chi as uncompressed float64 arrays ``u``
+    and ``chi`` of shape (n, ny+1, nx+1), in the snapshots' order; their
+    times are not stored."""
+    for snap in snapshots:
+        grid.check_nodal("snapshot u", snap.u)
+    with atomic_open(path, "wb") as f:
+        np.savez(f, u=np.stack([snap.u for snap in snapshots]),
+                 chi=np.stack([snap.chi for snap in snapshots]))
+
+
+def read_trajectory_store(path, grid, n):
+    """Arrays (u, chi) of a trajectory store, each of shape (n, ny+1, nx+1).
+
+    Raises ValueError unless the file is an ``.npz`` holding float64 arrays
+    ``u`` and ``chi`` of that shape whose values are all finite.
+    """
+    try:
+        # np.load leaks a file it opened when the zip directory is bad
+        with open(path, "rb") as f:
+            store = np.load(f, allow_pickle=False)
+            if not isinstance(store, np.lib.npyio.NpzFile):
+                raise ValueError("one array, not an .npz store of u and chi")
+            arrays = {name: store[name] for name in ("u", "chi")}
+    except (EOFError, KeyError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"not an .npz store of u and chi ({type(exc).__name__}: {exc})") \
+            from None
+    shape = (n, *grid.shape)
+    for name, values in arrays.items():
+        if values.dtype != np.float64:
+            raise ValueError(f"array {name} has dtype {values.dtype}, expected float64")
+        if values.shape != shape:
+            raise ValueError(f"array {name} has shape {values.shape}, expected {shape}, "
+                             "one slice of nodal values per snapshot")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"array {name} has a value that is not a finite number")
+    return arrays["u"], arrays["chi"]

@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import io
 import json
 import os
 import shutil
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from damflow import (DamGeometry, IncompatibleRuns, NonConvergence, build_grid, cli,
@@ -16,6 +18,7 @@ from damflow.config import load_config, pose_problem
 from damflow.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
                          EXIT_SOLVER, EXIT_VALIDATION, main)
 from damflow.io import read_json, write_solution_csv
+from damflow.problem_data import load_solution_csv
 
 STATIONARY = """
 [run]
@@ -334,44 +337,150 @@ def test_compare_incomplete_run_exit_3(tmp_path, capsys):
     assert main(["run", cfg]) == EXIT_OK
     partial = tmp_path / "partial"
     shutil.copytree(out, partial)
-    os.remove(partial / "snapshot_00001.csv")
+    os.remove(partial / "trajectory.npz")
     corrupt = {}
     for name in ("summary.json", "trajectory.json"):
         corrupt[name] = tmp_path / f"corrupt_{name}"
         shutil.copytree(out, corrupt[name])
         (corrupt[name] / name).write_text("{")
     # valid JSON of the wrong shape: no snapshot list, an entry without a time,
-    # an empty snapshot list, or a summary that is not an object
+    # an empty snapshot list, a summary that is not an object, or a time that
+    # is infinite or a boolean
     meta = read_json(os.path.join(out, "trajectory.json"))
     no_snapshots = dict(meta, snapshots=[])
+
+    def with_last_time(time):
+        edited = json.loads(json.dumps(meta))
+        edited["snapshots"][-1]["time"] = time
+        return json.dumps(edited)
+
+    infinite_time, boolean_time = with_last_time(float("inf")), with_last_time(True)
+    assert "Infinity" in infinite_time and "true" in boolean_time
     del meta["snapshots"][1]["time"]
     misshapen = []
     for k, (name, text) in enumerate((("trajectory.json", "{}"),
                                       ("trajectory.json", json.dumps(meta)),
                                       ("trajectory.json", json.dumps(no_snapshots)),
-                                      ("summary.json", "[]"))):
+                                      ("summary.json", "[]"),
+                                      ("trajectory.json", infinite_time),
+                                      ("trajectory.json", boolean_time))):
         misshapen.append(tmp_path / f"misshapen_{k}")
         shutil.copytree(out, misshapen[-1])
         (misshapen[-1] / name).write_text(text)
     report_path = str(tmp_path / "cmp.json")
     for other, missing in ((tmp_path / "absent", "summary.json"),
-                           (partial, "snapshot_00001.csv"),
+                           (partial, "trajectory.npz"),
                            (corrupt["summary.json"], "summary.json"),
                            (corrupt["trajectory.json"], "trajectory.json"),
                            (misshapen[0], "trajectory.json"),
                            (misshapen[1], "trajectory.json"),
                            (misshapen[2], "trajectory.json"),
-                           (misshapen[3], "summary.json")):
+                           (misshapen[3], "summary.json"),
+                           (misshapen[4], "trajectory.json"),
+                           (misshapen[5], "trajectory.json")):
         capsys.readouterr()
         assert main(["compare", out, str(other), "--out", report_path]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and err.count("\n") == 1
         assert missing in err
-    # two runs without snapshots agree on their (empty) times
-    assert main(["compare", str(misshapen[2]), str(misshapen[2]),
-                 "--out", report_path]) == EXIT_VALIDATION
-    assert "trajectory.json" in capsys.readouterr().err
+    # two runs without snapshots agree on their (empty) times, and a run
+    # whose last time is infinite or true agrees with itself
+    for run in misshapen[2], misshapen[4], misshapen[5]:
+        assert main(["compare", str(run), str(run), "--out", report_path]) == EXIT_VALIDATION
+        assert "trajectory.json" in capsys.readouterr().err
     assert not os.path.exists(report_path)
+
+
+def _npz(**arrays):
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def _npy(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def _with_nan(u):
+    u = u.copy()
+    u[1, 2, 3] = np.nan
+    return u
+
+
+# each defect of a trajectory store: the bytes to put in place of a valid
+# store, given its bytes and its arrays
+BAD_STORES = {
+    "empty": lambda data, u, chi: b"",
+    "truncated": lambda data, u, chi: data[:len(data) // 2],
+    "plain_npy": lambda data, u, chi: _npy(u),
+    "missing_chi": lambda data, u, chi: _npz(u=u),
+    "object_array": lambda data, u, chi: _npz(u=u.astype(object), chi=chi),
+    "float32": lambda data, u, chi: _npz(u=u.astype(np.float32), chi=chi),
+    "other_grid": lambda data, u, chi: _npz(u=u[:, :-1], chi=chi[:, :-1]),
+    "one_snapshot_fewer": lambda data, u, chi: _npz(u=u[:-1], chi=chi[:-1]),
+    "one_snapshot_more": lambda data, u, chi: _npz(u=np.concatenate((u, u[-1:])),
+                                                   chi=np.concatenate((chi, chi[-1:]))),
+    "non_finite": lambda data, u, chi: _npz(u=_with_nan(u), chi=chi),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_STORES))
+def test_compare_bad_trajectory_store_exit_3(tmp_path, capsys, defect):
+    cfg, out = _config(tmp_path, UNSTEADY)
+    assert main(["run", cfg]) == EXIT_OK
+    bad = tmp_path / "bad"
+    shutil.copytree(out, bad)
+    store = bad / "trajectory.npz"
+    with np.load(store) as arrays:
+        u, chi = arrays["u"], arrays["chi"]
+    store.write_bytes(BAD_STORES[defect](store.read_bytes(), u, chi))
+    report_path = tmp_path / "cmp.json"
+    capsys.readouterr()
+    for pair in ((out, str(bad)), (str(bad), out)):
+        assert main(["compare", *pair, "--out", str(report_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert f"{bad} has a corrupt trajectory.npz" in err
+    assert not report_path.exists()
+
+
+def test_trajectory_store_holds_the_indexed_snapshots_bit_for_bit(tmp_path):
+    text = UNSTEADY.replace("T = 0.04", "T = 0.1").replace("dir = {out}",
+                                                           "dir = {out}\nevery_n_steps = 2")
+    cfg, out = _config(tmp_path, text)
+    assert main(["run", cfg]) == EXIT_OK
+    entries = read_json(os.path.join(out, "trajectory.json"))["snapshots"]
+    assert [e["file"] for e in entries] == [f"snapshot_{k:05d}.csv" for k in (0, 2, 4, 5)]
+    grid = pose_problem(load_config(cfg)).grid
+    with np.load(os.path.join(out, "trajectory.npz"), allow_pickle=False) as store:
+        assert sorted(store.files) == ["chi", "u"]
+        u, chi = store["u"], store["chi"]
+    assert u.dtype == chi.dtype == np.float64
+    assert u.shape == chi.shape == (len(entries), grid.ny + 1, grid.nx + 1)
+    for k, entry in enumerate(entries):
+        dump = load_solution_csv(os.path.join(out, entry["file"]), grid)
+        np.testing.assert_array_equal(u[k].view(np.int64), dump.u.view(np.int64))
+        np.testing.assert_array_equal(chi[k].view(np.int64), dump.chi.view(np.int64))
+
+
+def test_compare_reads_no_snapshot_csv(tmp_path):
+    cfg, out = _config(tmp_path, UNSTEADY)
+    cfg2, out2 = _config(tmp_path, UNSTEADY, name="run2.ini", outname="out2")
+    assert main(["run", cfg]) == EXIT_OK and main(["run", cfg2]) == EXIT_OK
+    assert main(["compare", out, out2, "--out", str(tmp_path / "intact.json")]) == EXIT_OK
+    stripped = []
+    for run in out, out2:
+        stripped.append(tmp_path / f"stripped_{os.path.basename(run)}")
+        shutil.copytree(run, stripped[-1])
+        csvs = sorted(stripped[-1].glob("snapshot_*.csv"))
+        assert len(csvs) == 3
+        for path in csvs:
+            path.unlink()
+    assert main(["compare", *map(str, stripped), "--out",
+                 str(tmp_path / "stripped.json")]) == EXIT_OK
+    assert (tmp_path / "stripped.json").read_bytes() == (tmp_path / "intact.json").read_bytes()
 
 
 def test_compare_runs_with_relative_csv_paths(tmp_path):

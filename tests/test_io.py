@@ -1,9 +1,12 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
 from damflow import DamGeometry, InvalidData, MalformedCSV, build_grid
 from damflow.cli import EXIT_VALIDATION, main
-from damflow.io import (atomic_write_text, read_json, snapshot_filename,
+from damflow.io import (atomic_open, atomic_write_text, read_json, snapshot_filename,
                         write_json, write_solution_csv)
 from damflow.problem_data import SolutionField, load_solution_csv
 
@@ -65,6 +68,25 @@ def test_atomic_write_failure_reraises_and_leaves_no_temp_file(tmp_path, monkeyp
     with pytest.raises(OSError, match="rename refused"):
         atomic_write_text(str(tmp_path / "file.txt"), "hello")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o027], ids=lambda m: f"umask_{m:03o}")
+def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path, umask):
+    # the temporary file is made 0o600; the artifact must not keep that mode
+    old = os.umask(umask)
+    try:
+        atomic_write_text(str(tmp_path / "text.txt"), "hello")
+        with atomic_open(str(tmp_path / "bytes.bin"), "wb") as f:
+            f.write(b"hello")
+        write_json(str(tmp_path / "obj.json"), {"a": 1})
+        with open(tmp_path / "plain.txt", "w") as f:
+            f.write("hello")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "bytes.bin").read_bytes() == b"hello"
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(("text.txt", "bytes.bin", "obj.json", "plain.txt"),
+                                  0o666 & ~umask)
 
 
 def test_negative_initial_pressure_exit_3(tmp_path, capsys):

@@ -15,6 +15,7 @@ import damflow
 from damflow import (DamGeometry, EvolutionConfig, PenaltyConfig, ProblemData, build_grid,
                      classify_boundary, cli, evolution, hydrostatic_head, hydrostatic_profile,
                      identity_field, nonlinear, stationary)
+from damflow.io import write_solution_csv
 
 _PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "perfbench")
@@ -98,8 +99,12 @@ dir = run
 
 
 def test_span_recorder_sees_cli_artifact_round_trip(tmp_path):
+    # compare reads no CSV, so the run reads its initial pair from a node dump
+    grid, _, _, _ = _problem()
+    write_solution_csv(str(tmp_path / "initial.csv"), grid, hydrostatic_profile(0.5, grid))
     config = tmp_path / "run.ini"
-    config.write_text(TINY_RUN)
+    config.write_text(TINY_RUN.replace("k = 0.5",
+                                       "k = 0.5\ninitial = csv\ninitial_csv = initial.csv"))
     run_dir = str(tmp_path / "run")
     rec = spans.SpanRecorder()
     patcher = spans.instrument(rec)
