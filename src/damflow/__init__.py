@@ -6,8 +6,7 @@ from .geometry import (BoundaryTags, DamGeometry, Grid, build_grid, classify_bou
 from .permeability import (AssumptionReport, PermeabilityField, constant_anisotropic_field,
                            grid_sampled_field, identity_field, layered_field, load_field_csv,
                            smooth_field, validate_assumptions)
-from .penalty import (PenaltyConfig, complementarity_bound, g_eps, g_eps_derivative,
-                      heaviside_eps, heaviside_eps_derivative)
+from .penalty import PenaltyConfig
 from .problem_data import (ProblemData, SolutionField, hydrostatic_head, hydrostatic_profile,
                            load_solution_csv, make_barrier_data, two_reservoir_head)
 from .stationary import StationarySolve, solve_stationary

@@ -57,19 +57,21 @@ class DualSolver:
     def solve(self, eta):
         """Nodal dual potential for a nodal source; direct solve keeps the
         discrete energy identity at machine precision."""
-        eta_flat = self.grid.flatten(np.asarray(eta, dtype=float))
-        rhs = self.M @ eta_flat
+        rhs = self.M @ self._flat("dual source", eta)
         rhs[self.dflat] = 0.0
         v = self._lu.solve(rhs)
         return v.reshape(self.grid.shape)
 
     def energy(self, v):
-        return self.asm.energy(self.grid.flatten(v))
+        return self.asm.energy(self._flat("dual potential", v))
 
     def source_pairing(self, eta, v):
         """integral eta*v via the consistent mass matrix."""
-        return float(self.grid.flatten(np.asarray(eta, dtype=float))
-                     @ (self.M @ self.grid.flatten(v)))
+        return float(self._flat("dual source", eta) @ (self.M @ self._flat("dual potential", v)))
+
+    def _flat(self, name, values):
+        self.grid.check_nodal(name, values)
+        return self.grid.flatten(np.asarray(values, dtype=float))
 
 
 def steklov_average(times, values, h_avg):
@@ -79,8 +81,7 @@ def steklov_average(times, values, h_avg):
     ``values`` may be scalars or fields, time along the leading axis.
     Returns (new_times, averaged_values).
     """
-    times, new_times = _steklov_window(times, h_avg)
-    values = np.asarray(values, dtype=float)
+    times, values, new_times = _steklov_window(times, values, h_avg)
     ends = new_times + h_avg
     total = np.zeros((new_times.size,) + values.shape[1:])
     for k in range(times.size - 1):
@@ -96,23 +97,25 @@ def steklov_average(times, values, h_avg):
 
 def steklov_derivative(times, values, h_avg):
     """Exact time derivative of the Steklov mean: (g(t+h) - g(t))/h."""
-    times, new_times = _steklov_window(times, h_avg)
-    values = np.asarray(values, dtype=float)
+    times, values, new_times = _steklov_window(times, values, h_avg)
     return new_times, (_eval_pl(times, values, new_times + h_avg)
                        - _eval_pl(times, values, new_times)) / h_avg
 
 
-def _steklov_window(times, h_avg):
-    """(times, the start times t whose window [t, t + h] lies inside the
-    series); raises InvalidArgument unless the times strictly increase and
-    0 < h <= T."""
+def _steklov_window(times, values, h_avg):
+    """(times, values, the start times t whose window [t, t + h] lies inside
+    the series); raises InvalidArgument unless the times strictly increase,
+    there is one value per time and 0 < h <= T."""
     times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
     if not np.all(np.diff(times) > 0.0):
         raise InvalidArgument("Steklov times must strictly increase")
+    if values.shape[:1] != times.shape:
+        raise InvalidArgument(f"Steklov values of shape {values.shape} for {times.size} times")
     T = times[-1] - times[0]
     if not (0.0 < h_avg <= T + 1e-15):
         raise InvalidArgument(f"averaging window {h_avg} outside (0, {T}]")
-    return times, times[times + h_avg <= times[-1] + 1e-12 * max(T, 1.0)]
+    return times, values, times[times + h_avg <= times[-1] + 1e-12 * max(T, 1.0)]
 
 
 def _eval_pl(times, values, t):
@@ -132,9 +135,10 @@ def sign_check(traj1, traj2):
     saturations chi = H_eps(u) at unequal widths eps_a != eps_b the sharp
     floor is -(eps_a - eps_b)**2 / (4*max(eps_a, eps_b)), attained at
     u = min(eps_a, eps_b) against u = (eps_a + eps_b)/2; it is 0 for equal
-    widths and tends to ``penalty.complementarity_bound(eps)`` = eps/4 as
+    widths and tends to ``PenaltyConfig.complementarity_bound`` = eps/4 as
     the other width goes to 0.
     """
+    _check_same_length(traj1, traj2)
     return min(float(np.min((s1.u - s2.u) * (s1.chi - s2.chi)))
                for s1, s2 in zip(traj1.snapshots, traj2.snapshots))
 
@@ -184,9 +188,13 @@ def extract_free_boundary(solution, grid):
     return heights, status
 
 
-def _check_aligned(traj1, traj2, grid):
+def _check_same_length(traj1, traj2):
     if len(traj1.snapshots) != len(traj2.snapshots):
         raise InvalidArgument("trajectories have different lengths")
+
+
+def _check_aligned(traj1, traj2, grid):
+    _check_same_length(traj1, traj2)
     t1 = np.asarray(traj1.times)
     t2 = np.asarray(traj2.times)
     if t1.size == 0 or not np.all(np.diff(t1) > 0.0):

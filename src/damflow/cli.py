@@ -19,7 +19,6 @@ from .errors import DamflowError, IncompatibleRuns, NonConvergence
 from .evolution import Trajectory, solve_unsteady
 from .io import (atomic_write_text, read_json, read_trajectory_store, snapshot_filename,
                  write_energy_csv, write_json, write_solution_csv, write_trajectory_store)
-from .penalty import complementarity_bound
 from .problem_data import SolutionField
 # not called here; perfbench/spans.py patches this name on this module
 from .problem_data import load_solution_csv  # noqa: F401
@@ -150,7 +149,7 @@ def _run_unsteady(problem, out):
     # snapshot 0 is exempt: its (u0, chi0) pair is data, not H_eps-coupled
     comp = max(s.complementarity_residual() for s in traj.snapshots[1:])
     failures = []
-    bound = complementarity_bound(problem.evolution.penalty.eps) + 1e-12
+    bound = problem.evolution.penalty.complementarity_bound + 1e-12
     if comp > bound:
         failures.append(f"complementarity residual {comp} exceeds eps/4 bound {bound}")
     worst_mass = max((d["mass_balance_rel"] for d in diag), default=0.0)

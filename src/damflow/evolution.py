@@ -17,7 +17,7 @@ from .assembly import apply_dirichlet_matrix, apply_dirichlet_system  # noqa: F4
 from .errors import InvalidArgument, NonConvergence, StepFailure
 from .geometry import dirichlet_values, whole_number
 from .nonlinear import TOL_NEWTON, newton_picard_solve
-from .penalty import PenaltyConfig, g_eps, heaviside_eps
+from .penalty import PenaltyConfig
 from .problem_data import SolutionField
 from .stationary import TOL_NEG, DamOperator
 
@@ -80,7 +80,7 @@ def project_initial(data, v1eps, config):
     if u0.shape != v1.shape:
         raise InvalidArgument(f"initial data shape {u0.shape} != barrier shape {v1.shape}")
     return np.minimum(u0, v1), np.minimum(np.asarray(data.chi0, dtype=float),
-                                          heaviside_eps(v1, config.eps))
+                                          config.heaviside(v1))
 
 
 class _Stepper:
@@ -121,13 +121,13 @@ class _Stepper:
         pde = op.pde(u_new_flat)
         inflow = -float(np.sum(pde[self.dmask])) * op.dt
         imbalance = float(np.sum(pde[~self.dmask])) * op.dt
-        scale = max(float(np.sum(self.mlump * np.abs(g_eps(u_new_flat, pen)))), abs(inflow), 1e-30)
+        scale = max(float(np.sum(self.mlump * np.abs(pen.storage(u_new_flat)))), abs(inflow), 1e-30)
         return imbalance, inflow, scale
 
 
 def step(state, stepper):
     """Advance one snapshot by dt; a failed solve halves dt, at most MAX_DT_RETRIES times."""
-    config, grid, eps = stepper.config, stepper.grid, stepper.config.penalty.eps
+    config, grid, pen = stepper.config, stepper.grid, stepper.config.penalty
     index = round(state.time / config.dt)
     solver = stepper.linsolver
     counts = solver.fallbacks, solver.krylov_iters, solver.coarse_factors
@@ -135,7 +135,7 @@ def step(state, stepper):
         u, chi, substeps = grid.flatten(state.u), grid.flatten(state.chi), []
         try:
             for k in range(2 ** halvings):
-                chi = heaviside_eps(u, eps) if k else chi
+                chi = pen.heaviside(u) if k else chi
                 u, op, stats = stepper.advance(u, chi, config.dt / 2 ** halvings)
                 substeps.append((stats, *stepper.ledger(op, u)))
             break
@@ -154,7 +154,7 @@ def step(state, stepper):
     # the sub-steps of the accepted attempt; failed attempts show only in
     # the solver counters
     solves, imbalances, inflows, scales = zip(*substeps)
-    new = SolutionField(u=u, chi=heaviside_eps(u, eps), time=state.time + config.dt)
+    new = SolutionField(u=u, chi=pen.heaviside(u), time=state.time + config.dt)
     diag = StepDiagnostics(time=new.time, newton_iters=sum(st.iters for st in solves),
                            residual_norm=max(st.residual_norm for st in solves),
                            mass_balance_rel=abs(sum(imbalances)) / max(scales),

@@ -1,8 +1,8 @@
 """Penalized Heaviside ramp and the conserved quantity it defines.
 
-heaviside_eps(s) = min(1, s+/eps) replaces the multivalued Heaviside graph;
-g_eps(s) = alpha*s + heaviside_eps(s) is the quantity whose time derivative
-drives the unsteady problem.
+H_eps(s) = min(1, s+/eps) replaces the multivalued Heaviside graph;
+G_eps(s) = alpha*s + H_eps(s) is the quantity whose time derivative drives
+the unsteady problem.  ``PenaltyConfig`` holds (eps, alpha) and evaluates both.
 """
 
 from dataclasses import dataclass
@@ -24,35 +24,27 @@ class PenaltyConfig:
             raise InvalidArgument(f"compressibility alpha must be finite and >= 0, "
                                   f"got {self.alpha}")
 
+    def heaviside(self, s):
+        """Ramp H_eps(s) = min(1, max(s, 0)/eps); nondecreasing, Lipschitz with constant 1/eps."""
+        return np.clip(np.asarray(s, dtype=float) / self.eps, 0.0, 1.0)
 
-def heaviside_eps(s, eps):
-    """Ramp min(1, max(s, 0)/eps); nondecreasing, Lipschitz with constant 1/eps."""
-    if eps <= 0:
-        raise InvalidArgument(f"eps must be positive, got {eps}")
-    return np.clip(np.asarray(s, dtype=float) / eps, 0.0, 1.0)
+    def heaviside_derivative(self, s):
+        """Generalized derivative of the ramp: 1/eps on [0, eps], 0 outside.
 
+        Both kinks take the ramp-side value 1/eps, the semismooth-Newton
+        convention that keeps the Jacobian active at the free boundary.
+        """
+        s = np.asarray(s, dtype=float)
+        return np.where((s >= 0.0) & (s <= self.eps), 1.0 / self.eps, 0.0)
 
-def heaviside_eps_derivative(s, eps):
-    """Generalized derivative of the ramp: 1/eps on [0, eps], 0 outside.
+    def storage(self, s):
+        """Penalized storage G_eps(s) = alpha*s + H_eps(s)."""
+        return self.alpha * np.asarray(s, dtype=float) + self.heaviside(s)
 
-    Both kinks take the ramp-side value 1/eps, the semismooth-Newton
-    convention that keeps the Jacobian active at the free boundary.
-    """
-    if eps <= 0:
-        raise InvalidArgument(f"eps must be positive, got {eps}")
-    s = np.asarray(s, dtype=float)
-    return np.where((s >= 0.0) & (s <= eps), 1.0 / eps, 0.0)
+    def storage_derivative(self, s):
+        return self.alpha + self.heaviside_derivative(s)
 
-
-def g_eps(s, config):
-    """Penalized storage alpha*s + H_eps(s)."""
-    return config.alpha * np.asarray(s, dtype=float) + heaviside_eps(s, config.eps)
-
-
-def g_eps_derivative(s, config):
-    return config.alpha + heaviside_eps_derivative(s, config.eps)
-
-
-def complementarity_bound(eps):
-    """Sharp bound on s*(1 - H_eps(s)) over s >= 0, attained at s = eps/2."""
-    return eps / 4.0
+    @property
+    def complementarity_bound(self):
+        """Sharp bound on s*(1 - H_eps(s)) over s >= 0, attained at s = eps/2."""
+        return self.eps / 4.0

@@ -79,10 +79,11 @@ def constant_anisotropic_field(a11=1.0, a12=0.0, a22=1.0, geometry=None):
 
 
 def grid_sampled_field(grid, a11_nodes, a12_nodes, a22_nodes):
-    """Field given by nodal samples, interpolated bilinearly between nodes."""
-    a11_nodes = np.asarray(a11_nodes, dtype=float).reshape(grid.shape)
-    a12_nodes = np.asarray(a12_nodes, dtype=float).reshape(grid.shape)
-    a22_nodes = np.asarray(a22_nodes, dtype=float).reshape(grid.shape)
+    """Field given by (ny+1, nx+1) nodal samples, interpolated bilinearly between nodes."""
+    samples = (a11_nodes, a12_nodes, a22_nodes)
+    for name, nodes in zip(("a11", "a12", "a22"), samples):
+        grid.check_nodal(f"{name} samples", nodes)
+    a11_nodes, a12_nodes, a22_nodes = (np.asarray(nodes, dtype=float) for nodes in samples)
 
     def interp(nodes, x1, x2):
         s = np.clip(np.asarray(x1, dtype=float) / grid.h1, 0.0, grid.nx)

@@ -46,9 +46,10 @@ class ProblemData:
             raise InvalidData(f"T must be positive, got {self.T_final}")
         self.u0 = np.asarray(self.u0, dtype=float)
         self.chi0 = np.asarray(self.chi0, dtype=float)
-        if np.any(self.u0 < 0):
-            raise InvalidData("initial pressure must satisfy u0 >= 0 at every node")
-        if np.any(self.chi0 < 0) or np.any(self.chi0 > 1):
+        # written so that NaN fails every comparison
+        if not np.all(np.isfinite(self.u0) & (self.u0 >= 0)):
+            raise InvalidData("initial pressure must be finite and satisfy u0 >= 0 at every node")
+        if not np.all((self.chi0 >= 0) & (self.chi0 <= 1)):
             raise InvalidData("initial saturation must lie in [0, 1] at every node")
 
 
@@ -111,10 +112,11 @@ def hydrostatic_profile(k, grid):
     return SolutionField(u=u, chi=chi, time=0.0)
 
 
-def load_solution_csv(path, grid, time=0.0):
-    """Load a nodal pair from a node dump ``i,j,x1,x2,u,chi``.
+def load_solution_csv(path, grid):
+    """Load a nodal pair from a node dump ``i,j,x1,x2,u,chi``; a dump holds
+    no time, so the pair is at time 0.
 
     Raises MalformedCSV (an InvalidData) when the file is not one row per node.
     """
     u, chi = read_solution_csv(path, grid)
-    return SolutionField(u=u, chi=chi, time=time)
+    return SolutionField(u=u, chi=chi)

@@ -14,8 +14,6 @@ from .assembly import (LinearSolver, Q1Assembler, apply_dirichlet_matrix,
 from .errors import NonConvergence
 from .geometry import dirichlet_values
 from .nonlinear import TOL_NEWTON, newton_picard_solve
-from .penalty import (g_eps, g_eps_derivative, heaviside_eps,
-                      heaviside_eps_derivative)
 from .problem_data import SolutionField
 
 TOL_NEG = 1e-10
@@ -58,8 +56,8 @@ class DamOperator:
         """Weak-form rows at every node, pinned ones included."""
         r = self.asm.stiffness() @ u
         if self.mlump is not None:
-            r = self.mlump * (g_eps(u, self.penalty) - self.g_old) / self.dt + r
-        chi = heaviside_eps(self.asm.interp_at_quad(u), self.penalty.eps)
+            r = self.mlump * (self.penalty.storage(u) - self.g_old) / self.dt + r
+        chi = self.penalty.heaviside(self.asm.interp_at_quad(u))
         return r + self.asm.gravity_vector(chi)
 
     def residual(self, u):
@@ -68,18 +66,18 @@ class DamOperator:
         return r
 
     def _frozen(self, u):
-        """Stiffness plus the storage slope M g_eps'(u)/dt on the diagonal,
+        """Stiffness plus the storage slope M G_eps'(u)/dt on the diagonal,
         on the Q1 pattern; the stiffness itself without a storage term."""
         K = self.asm.stiffness()
         if self.mlump is None:
             return K
         data = K.data.copy()
-        data[self.asm.diag_slot] += self.mlump * g_eps_derivative(u, self.penalty) / self.dt
+        data[self.asm.diag_slot] += self.mlump * self.penalty.storage_derivative(u) / self.dt
         return self.asm.pattern_matrix(data)
 
     def jacobian(self, u):
         """Generalized derivative of ``residual``; identity rows where pinned."""
-        dchi = heaviside_eps_derivative(self.asm.interp_at_quad(u), self.penalty.eps)
+        dchi = self.penalty.heaviside_derivative(self.asm.interp_at_quad(u))
         J = self.asm.gravity_jacobian(dchi)
         J.data += self._frozen(u).data
         return apply_dirichlet_matrix(J, self.pinned)
@@ -190,7 +188,7 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON, meth
                              residual_norm=solves[-1].residual_norm)
     v = np.maximum(v, 0.0).reshape(grid.shape)
     return StationarySolve(
-        v=v, chi=heaviside_eps(v, config.eps), residual_norm=solves[-1].residual_norm,
+        v=v, chi=config.heaviside(v), residual_norm=solves[-1].residual_norm,
         newton_iters=sum(st.iters for st in solves), method=target_method,
         diagnostics={"initial_residual_norm": solves[0].initial_residual_norm,
                      "line_search_failures": sum(st.line_search_failures for st in solves),

@@ -9,7 +9,6 @@ from damflow import assembly
 from damflow.assembly import (KRYLOV_RTOL, REFACTOR_EVERY_SOLVE_MIN_N, LinearSolver, Q1Assembler,
                               apply_dirichlet_matrix, apply_dirichlet_system, _gauss_1d)
 from damflow.errors import InvalidArgument
-from damflow.penalty import g_eps_derivative, heaviside_eps_derivative
 from damflow.stationary import DamOperator
 
 
@@ -393,7 +392,7 @@ def _ramp_problem():
 
 def test_gravity_jacobian_on_the_band_equals_full_grid_evaluation():
     grid, asm, pen, u = _ramp_problem()
-    dchi = heaviside_eps_derivative(asm.interp_at_quad(u), pen.eps)
+    dchi = pen.heaviside_derivative(asm.interp_at_quad(u))
     band = np.any(dchi != 0.0, axis=1)
     assert 0 < band.sum() < grid.n_cells
     G = asm.gravity_jacobian(dchi)
@@ -419,8 +418,8 @@ def test_fixed_pattern_jacobian_matches_the_sparse_sum(storage, extra_pins):
                     + np.einsum("cq,qm,qn->cmn", w * asm.a12, asm.gx, asm.gy)
                     + np.einsum("cq,qm,qn->cmn", w * asm.a12, asm.gy, asm.gx)
                     + np.einsum("cq,qm,qn->cmn", w * asm.a22, asm.gy, asm.gy))
-    J = sp.diags(mlump * g_eps_derivative(u, pen) / dt) + K if storage else K
-    J = J + _full_gravity_jacobian(asm, heaviside_eps_derivative(asm.interp_at_quad(u), pen.eps))
+    J = sp.diags(mlump * pen.storage_derivative(u) / dt) + K if storage else K
+    J = J + _full_gravity_jacobian(asm, pen.heaviside_derivative(asm.interp_at_quad(u)))
     d = pinned.astype(float)
     expected = (sp.diags(1.0 - d) @ J + sp.diags(d)).toarray()
 

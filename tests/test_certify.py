@@ -84,6 +84,13 @@ def test_steklov_times_that_do_not_strictly_increase_rejected(operator, times):
         operator(times, [1.0, 2.0, 3.0, 4.0], 0.25)
 
 
+@pytest.mark.parametrize("n_values", [4, 7])
+@pytest.mark.parametrize("operator", [steklov_average, steklov_derivative])
+def test_steklov_values_of_the_wrong_length_rejected(operator, n_values):
+    with pytest.raises(InvalidArgument, match="for 5 times"):
+        operator(np.linspace(0.0, 1.0, 5), np.arange(float(n_values)), 0.25)
+
+
 def test_steklov_operators_on_a_field_at_irregular_times():
     rng = np.random.default_rng(11)
     times = np.cumsum(rng.uniform(0.05, 0.4, 9))
@@ -117,6 +124,14 @@ def test_sign_check_is_the_least_cross_product_over_snapshots():
     assert sign_check(t1, t2) == pytest.approx(-3.0)
     assert sign_check(t2, t1) == pytest.approx(-3.0)
     assert sign_check(t1, t1) == 0.0
+
+
+def test_sign_check_rejects_trajectories_of_unequal_length():
+    two = _trajectory([[1.0], [0.0]], [[1.0], [0.0]])
+    one = _trajectory([[0.0]], [[1.0]])
+    for pair in ((two, one), (one, two)):
+        with pytest.raises(InvalidArgument, match="different lengths"):
+            sign_check(*pair)
 
 
 def test_check_sandwich_reports_violations():
@@ -216,6 +231,16 @@ def test_dual_solver_and_monitor_reject_tags_off_the_grid(n_tags):
         DualSolver(field, grid, tags)
     with pytest.raises(InvalidArgument, match=shapes):
         gronwall_monitor(traj, traj, field, grid, tags, alpha=0.3)
+
+
+@pytest.mark.parametrize("method, off_grid", [("solve", 0), ("energy", 0),
+                                              ("source_pairing", 0), ("source_pairing", 1)])
+def test_dual_solver_rejects_inputs_off_the_grid(method, off_grid):
+    grid, tags, field = _setup(4)
+    args = [np.ones(grid.shape) for _ in range(2 if method == "source_pairing" else 1)]
+    args[off_grid] = np.ones((9, 9))
+    with pytest.raises(InvalidArgument, match=r"of shape \(9, 9\) is not on the grid"):
+        getattr(DualSolver(field, grid, tags), method)(*args)
 
 
 @pytest.mark.parametrize("n_solution", [4, 16])

@@ -8,7 +8,6 @@ from damflow import (DamGeometry, InvalidArgument, InvalidData, NonConvergence, 
                      identity_field, make_barrier_data, solve_stationary)
 from damflow import evolution
 from damflow.evolution import EvolutionConfig, _Stepper, project_initial, solve_unsteady
-from damflow.penalty import complementarity_bound, g_eps, heaviside_eps
 from damflow.problem_data import ProblemData
 
 
@@ -85,7 +84,7 @@ def test_drawdown_monotone_and_conservative():
     # nodal positivity and the penalty complementarity bound
     for s in traj.snapshots[1:]:
         assert np.min(s.u) >= 0.0
-        assert np.max(s.u * (1.0 - s.chi)) <= complementarity_bound(pen.eps) + 1e-12
+        assert np.max(s.u * (1.0 - s.chi)) <= pen.complementarity_bound + 1e-12
 
 
 def test_first_step_honors_given_saturation():
@@ -96,7 +95,7 @@ def test_first_step_honors_given_saturation():
     from damflow.geometry import dirichlet_values
     dvals = dirichlet_values(grid, tags, phi0)
     u0[tags.dirichlet_mask] = dvals[tags.dirichlet_mask]
-    chi_own = heaviside_eps(u0, pen.eps)
+    chi_own = pen.heaviside(u0)
     chi_wet = np.minimum(chi_own + 0.4, 1.0)
     cfg = EvolutionConfig(dt=0.02, n_steps=1, penalty=pen)
 
@@ -121,7 +120,7 @@ def test_project_initial_clips_under_barrier():
                        u0=u0, chi0=chi0)
     u0c, chi0c = project_initial(data, v1eps, pen)
     assert np.all(u0c <= v1eps.v + 1e-15)
-    assert np.all(chi0c <= heaviside_eps(v1eps.v, pen.eps) + 1e-15)
+    assert np.all(chi0c <= pen.heaviside(v1eps.v) + 1e-15)
 
 
 def test_snapshot_chi_is_ramp_of_pressure():
@@ -132,11 +131,11 @@ def test_snapshot_chi_is_ramp_of_pressure():
     dvals = dirichlet_values(grid, tags, phi0)
     u0[tags.dirichlet_mask] = dvals[tags.dirichlet_mask]
     data = ProblemData(alpha=pen.alpha, T_final=0.04, eps0=0.2, phi=phi0,
-                       u0=u0, chi0=heaviside_eps(u0, pen.eps))
+                       u0=u0, chi0=pen.heaviside(u0))
     cfg = EvolutionConfig(dt=0.02, n_steps=2, penalty=pen)
     traj = solve_unsteady(data, field, grid, tags, cfg)
     for idx, s in enumerate(traj.snapshots[1:], start=1):
-        np.testing.assert_array_equal(s.chi, heaviside_eps(s.u, pen.eps))
+        np.testing.assert_array_equal(s.chi, pen.heaviside(s.u))
         assert s.time == pytest.approx(traj.times[idx])
 
 
@@ -146,7 +145,7 @@ def test_ledger_splits_the_pde_total():
     cfg = EvolutionConfig(dt=0.02, n_steps=1, penalty=pen)
     stepper = _Stepper(field, grid, tags, phi0, cfg)
     u = np.maximum(0.5 - X2, 0.0).ravel()
-    u_next, op, _ = stepper.advance(u, heaviside_eps(u, pen.eps), cfg.dt)
+    u_next, op, _ = stepper.advance(u, pen.heaviside(u), cfg.dt)
     imbalance, inflow, scale = stepper.ledger(op, u_next)
     pde = op.pde(u_next)
     assert inflow == pytest.approx(-np.sum(pde[tags.dirichlet_mask.ravel()]) * cfg.dt)
@@ -245,14 +244,14 @@ def test_failed_step_retries_with_half_the_step(monkeypatch):
     u0, chi0 = grid.flatten(data.u0), grid.flatten(data.chi0)
     np.testing.assert_array_equal(calls[0][1], pen.alpha * u0 + chi0)
     np.testing.assert_array_equal(calls[1][1], pen.alpha * u0 + chi0)
-    np.testing.assert_array_equal(calls[2][1], g_eps(calls[1][2][0], pen))
+    np.testing.assert_array_equal(calls[2][1], pen.storage(calls[1][2][0]))
     # the diagnostics cover both sub-steps of the accepted attempt
     substeps = [c[2][1] for c in calls[1:]]
     assert diag.newton_iters == sum(st.iters for st in substeps)
     assert diag.residual_norm == max(st.residual_norm for st in substeps)
     final = traj.final
     assert final.time == pytest.approx(0.02)
-    np.testing.assert_array_equal(final.chi, heaviside_eps(final.u, pen.eps))
+    np.testing.assert_array_equal(final.chi, pen.heaviside(final.u))
     assert diag.mass_balance_rel <= 1e-10
 
 

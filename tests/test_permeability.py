@@ -42,6 +42,13 @@ def test_every_kind_returns_float_arrays_of_the_broadcast_shape(kind):
             assert entry.shape == shape
 
 
+@pytest.mark.parametrize("samples", [np.ones((3, 3)), np.ones(25)], ids=["3x3", "flat"])
+def test_grid_sampled_field_rejects_samples_off_the_grid(samples):
+    grid = build_grid(DamGeometry(1.0, 1.0), 4, 4)
+    with pytest.raises(InvalidArgument, match=r"a12 samples of shape .* is not on the grid"):
+        grid_sampled_field(grid, np.ones(grid.shape), samples, np.ones(grid.shape))
+
+
 def test_identity_field_report():
     geom = DamGeometry(2.0, 1.0)
     grid = build_grid(geom, 8, 8)

@@ -25,6 +25,14 @@ def test_problem_data_validation():
                     u0=u0, chi0=chi0 + 2.0)
 
 
+@pytest.mark.parametrize("entry, value", [("u0", np.nan), ("u0", np.inf), ("chi0", np.nan)])
+def test_problem_data_rejects_a_non_finite_initial_pair(entry, value):
+    pair = {"u0": np.zeros((3, 3)), "chi0": np.zeros((3, 3))}
+    pair[entry][1, 1] = value
+    with pytest.raises(InvalidData, match="initial"):
+        ProblemData(alpha=0.0, T_final=1.0, eps0=0.1, phi=hydrostatic_head(0.5), **pair)
+
+
 def test_barrier_heads():
     geom = DamGeometry(2.0, 1.0)
     phi0, phi1 = make_barrier_data(0.2, geom)

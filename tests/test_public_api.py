@@ -21,16 +21,15 @@ EXPORTS = {
     "NonConvergence", "OrderingReport", "PenaltyConfig", "PermeabilityField",
     "ProblemData", "SolutionField", "StationarySolve", "StepFailure",
     "Trajectory", "build_grid", "check_sandwich",
-    "classify_boundary", "complementarity_bound", "constant_anisotropic_field",
-    "dirichlet_values", "extract_free_boundary", "g_eps", "g_eps_derivative",
-    "grid_sampled_field", "gronwall_monitor", "heaviside_eps", "heaviside_eps_derivative",
+    "classify_boundary", "constant_anisotropic_field", "dirichlet_values",
+    "extract_free_boundary", "grid_sampled_field", "gronwall_monitor",
     "hydrostatic_head", "hydrostatic_profile", "identity_field", "layered_field",
     "load_field_csv", "load_solution_csv", "make_barrier_data", "project_initial",
     "sign_check", "smooth_field", "solve_stationary", "solve_unsteady", "steklov_average",
     "steklov_derivative", "step", "two_reservoir_head", "validate_assumptions",
 }
 
-KEYWORD_OPTIONS = 24
+KEYWORD_OPTIONS = 23
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 

@@ -8,7 +8,6 @@ from damflow import stationary
 from damflow.assembly import REFACTOR_EVERY_SOLVE_MIN_N, Q1Assembler
 from damflow.stationary import TOL_NEG, TOL_NEWTON, DamOperator, hydrostatic_initial_guess
 from damflow.geometry import dirichlet_values
-from damflow.penalty import g_eps
 
 
 def _setup(n=32, k=0.5, field_maker=identity_field):
@@ -205,7 +204,7 @@ def _operator(storage, extra_pins, n=8, eps=0.1):
         values[[20, 31, 42]] = [0.1, 0.0, 0.3]
     kw = {}
     if storage:
-        kw = {"mlump": asm.lumped_mass(), "dt": 0.05, "g_old": g_eps(u + 0.02, pen)}
+        kw = {"mlump": asm.lumped_mass(), "dt": 0.05, "g_old": pen.storage(u + 0.02)}
     return DamOperator(asm, pen, pinned, values, **kw), u
 
 
