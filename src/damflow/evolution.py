@@ -44,6 +44,7 @@ class StepDiagnostics:
     time: float
     newton_iters: int
     residual_norm: float
+    initial_residual_norm: float
     mass_balance_rel: float
     boundary_inflow: float
     method: str
@@ -84,7 +85,9 @@ def project_initial(data, v1eps, config):
 
 
 class _Stepper:
-    """Caches assembly shared by every step of one trajectory."""
+    """Caches assembly shared by every step of one trajectory, and the
+    pressures at the start and end of the last sub-step it accepted, with
+    that sub-step's dt, as ``history``."""
 
     def __init__(self, field, grid, tags, phi, config):
         self.config = config
@@ -94,14 +97,23 @@ class _Stepper:
         self.dmask = tags.dirichlet_mask.ravel()
         self.mlump = self.asm.lumped_mass()
         self.linsolver = LinearSolver(prolongation=self.asm.prolongation())
+        self.history = None
 
     def advance(self, u_flat, chi_flat, dt):
         """One backward-Euler step from the pair (u, chi) with storage
-        alpha*u + chi; returns (u_next_flat, DamOperator, SolveStats)."""
+        alpha*u + chi; returns (u_next_flat, DamOperator, SolveStats).
+
+        Newton starts from u, or, when u is the end of the ``history``
+        sub-step, from its linear extrapolation to dt, clipped at 0; the
+        pinned values are imposed on either start."""
         cfg = self.config
         g_old = cfg.penalty.alpha * u_flat + chi_flat
         op = DamOperator(self.asm, cfg.penalty, self.dmask, self.phi_flat, self.mlump, dt, g_old)
-        u0 = u_flat.copy()
+        if self.history is not None and np.array_equal(u_flat, self.history[1]):
+            u_prev, _, dt_prev = self.history
+            u0 = np.maximum(u_flat + (dt / dt_prev) * (u_flat - u_prev), 0.0)
+        else:
+            u0 = u_flat.copy()
         u0[self.dmask] = self.phi_flat[self.dmask]
         u_next, stats = newton_picard_solve(u0, op.residual, op.jacobian, op.picard,
                                             self.linsolver, tol_newton=cfg.tol_newton,
@@ -126,37 +138,54 @@ class _Stepper:
 
 
 def step(state, stepper):
-    """Advance one snapshot by dt; a failed solve halves dt, at most MAX_DT_RETRIES times."""
+    """Advance one snapshot by dt; a failed solve halves dt, at most MAX_DT_RETRIES times.
+
+    Each sub-step of an attempt extrapolates Newton's start from the one
+    before it, the first from the stepper's last accepted sub-step if the
+    state is its end.  Only an accepted step feeds the stepper's history,
+    with its clipped pressure as the end."""
     config, grid, pen = stepper.config, stepper.grid, stepper.config.penalty
+    grid.check_nodal("state u", state.u)
+    grid.check_nodal("state chi", state.chi)
     index = round(state.time / config.dt)
     solver = stepper.linsolver
     counts = solver.fallbacks, solver.krylov_iters, solver.coarse_factors
+    accepted = stepper.history
     for halvings in range(MAX_DT_RETRIES + 1):
+        stepper.history = accepted
         u, chi, substeps = grid.flatten(state.u), grid.flatten(state.chi), []
+        dt = config.dt / 2 ** halvings
         try:
             for k in range(2 ** halvings):
                 chi = pen.heaviside(u) if k else chi
-                u, op, stats = stepper.advance(u, chi, config.dt / 2 ** halvings)
+                start = u
+                u, op, stats = stepper.advance(u, chi, dt)
+                stepper.history = (start, u, dt)
                 substeps.append((stats, *stepper.ledger(op, u)))
             break
         except NonConvergence as exc:
             failure = exc
     else:
+        stepper.history = accepted
         raise StepFailure(f"step at t={state.time} failed after {MAX_DT_RETRIES} dt halvings: "
                           f"{failure}", step_index=index,
                           residual_norm=failure.residual_norm) from failure
 
     u_min = float(np.min(u))
     if u_min < -TOL_NEG:
+        stepper.history = accepted
         raise StepFailure(f"pressure undershoot {u_min:.3e} at t={state.time + config.dt}",
                           step_index=index, residual_norm=stats.residual_norm)
-    u = np.maximum(u, 0.0).reshape(grid.shape)
+    u = np.maximum(u, 0.0)
+    stepper.history = (start, u, dt)
+    u = u.reshape(grid.shape)
     # the sub-steps of the accepted attempt; failed attempts show only in
     # the solver counters
     solves, imbalances, inflows, scales = zip(*substeps)
     new = SolutionField(u=u, chi=pen.heaviside(u), time=state.time + config.dt)
     diag = StepDiagnostics(time=new.time, newton_iters=sum(st.iters for st in solves),
                            residual_norm=max(st.residual_norm for st in solves),
+                           initial_residual_norm=max(st.initial_residual_norm for st in solves),
                            mass_balance_rel=abs(sum(imbalances)) / max(scales),
                            boundary_inflow=sum(inflows),
                            method=stats.method, dt_halvings=halvings,

@@ -10,7 +10,8 @@ skips the header, ``#`` lines and blank lines; every defect of the file raises
 cells of a node dump depend on the grid alone, so they are formatted once per
 grid into a template that each dump fills with u and chi.  A trajectory
 store is an uncompressed ``.npz`` of float64 arrays ``u`` and ``chi``, one
-nodal slice per stored snapshot, so it reads back bit-exactly.
+nodal slice per stored snapshot, so it reads back bit-exactly; it is written
+slice by slice.
 """
 
 import contextlib
@@ -176,12 +177,18 @@ def snapshot_filename(step_index):
 def write_trajectory_store(path, grid, snapshots):
     """Store the snapshots' u and chi as uncompressed float64 arrays ``u``
     and ``chi`` of shape (n, ny+1, nx+1), in the snapshots' order; their
-    times are not stored."""
+    times are not stored.  Each member is written as its ``.npy`` header and
+    then one slice per snapshot, so no stacked copy of the trajectory is made."""
     for snap in snapshots:
         grid.check_nodal("snapshot u", snap.u)
-    with atomic_open(path, "wb") as f:
-        np.savez(f, u=np.stack([snap.u for snap in snapshots]),
-                 chi=np.stack([snap.chi for snap in snapshots]))
+        grid.check_nodal("snapshot chi", snap.chi)
+    header = {"descr": "<f8", "fortran_order": False, "shape": (len(snapshots), *grid.shape)}
+    with atomic_open(path, "wb") as f, zipfile.ZipFile(f, "w", zipfile.ZIP_STORED) as store:
+        for name in ("u", "chi"):
+            with store.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                for snap in snapshots:
+                    member.write(np.ascontiguousarray(getattr(snap, name), dtype="<f8"))
 
 
 def read_trajectory_store(path, grid, n):

@@ -232,6 +232,7 @@ def test_unsteady_run_writes_snapshots(tmp_path):
     assert all(os.path.exists(os.path.join(out, s["file"])) for s in traj["snapshots"])
     assert [d["linear_fallbacks"] for d in traj["diagnostics"]] == [0, 0]
     assert [d["line_search_failures"] for d in traj["diagnostics"]] == [0, 0]
+    assert all(d["initial_residual_norm"] >= d["residual_norm"] for d in traj["diagnostics"])
     summary = read_json(os.path.join(out, "summary.json"))
     assert summary["mass_balance_worst"] <= 1e-10
 

@@ -1,13 +1,16 @@
+import io
 import os
 import stat
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 
-from damflow import DamGeometry, InvalidData, MalformedCSV, build_grid
+from damflow import DamGeometry, InvalidArgument, InvalidData, MalformedCSV, build_grid
 from damflow.cli import EXIT_VALIDATION, main
 from damflow.io import (atomic_open, atomic_write_text, read_json, snapshot_filename,
-                        write_json, write_solution_csv)
+                        write_json, write_solution_csv, write_trajectory_store)
 from damflow.problem_data import SolutionField, load_solution_csv
 
 GOLDEN = b"""i,j,x1,x2,u,chi
@@ -205,3 +208,48 @@ def test_repeated_writes_identical(tmp_path):
 def test_snapshot_filename_zero_padded():
     assert snapshot_filename(0) == "snapshot_00000.csv"
     assert snapshot_filename(123) == "snapshot_00123.csv"
+
+
+def _random_snapshots(grid, n):
+    rng = np.random.default_rng(1)
+    return [SolutionField(u=rng.random(grid.shape), chi=rng.random(grid.shape), time=0.1 * k)
+            for k in range(n)]
+
+
+def test_trajectory_store_members_are_the_bytes_of_savez(tmp_path):
+    grid = build_grid(DamGeometry(1.0, 2.0), 5, 3)
+    snaps = _random_snapshots(grid, 4)
+    path = tmp_path / "trajectory.npz"
+    write_trajectory_store(path, grid, snaps)
+    buf = io.BytesIO()
+    np.savez(buf, u=np.stack([s.u for s in snaps]), chi=np.stack([s.chi for s in snaps]))
+    with zipfile.ZipFile(path) as written, zipfile.ZipFile(buf) as expected:
+        assert written.namelist() == expected.namelist() == ["u.npy", "chi.npy"]
+        for name in expected.namelist():
+            assert written.getinfo(name).compress_type == zipfile.ZIP_STORED
+            assert written.read(name) == expected.read(name)
+
+
+def test_trajectory_store_is_written_one_snapshot_at_a_time(tmp_path):
+    grid = build_grid(DamGeometry(1.0, 1.0), 32, 32)
+    snaps = _random_snapshots(grid, 100)
+    stacked = len(snaps) * grid.n_nodes * 8
+    tracemalloc.start()
+    try:
+        write_trajectory_store(tmp_path / "trajectory.npz", grid, snaps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stacked / 4
+
+
+@pytest.mark.parametrize("name", ["u", "chi"])
+def test_trajectory_store_rejects_a_snapshot_off_the_grid(tmp_path, name):
+    grid = build_grid(DamGeometry(1.0, 1.0), 4, 2)
+    snaps = _random_snapshots(grid, 2)
+    # SolutionField refuses u and chi of unequal shapes, so one is set afterwards
+    setattr(snaps[1], name, getattr(snaps[1], name).T)
+    path = tmp_path / "trajectory.npz"
+    with pytest.raises(InvalidArgument, match=fr"snapshot {name} of shape \(5, 3\)"):
+        write_trajectory_store(path, grid, snaps)
+    assert not path.exists()
