@@ -148,10 +148,11 @@ class Q1Assembler:
         """Global matrix of ``integral a(x) grad(phi_n) . grad(phi_m)``."""
         if self._stiffness is None:
             w = self.wq[None, :]
-            local = (np.einsum("cq,qm,qn->cmn", w * self.a11, self.gx, self.gx)
-                     + np.einsum("cq,qm,qn->cmn", w * self.a12, self.gx, self.gy)
-                     + np.einsum("cq,qm,qn->cmn", w * self.a12, self.gy, self.gx)
-                     + np.einsum("cq,qm,qn->cmn", w * self.a22, self.gy, self.gy))
+            local = np.einsum("cq,qm,qn->cmn", w * self.a11, self.gx, self.gx)
+            if self.has_a12:
+                local += np.einsum("cq,qm,qn->cmn", w * self.a12, self.gx, self.gy)
+                local += np.einsum("cq,qm,qn->cmn", w * self.a12, self.gy, self.gx)
+            local += np.einsum("cq,qm,qn->cmn", w * self.a22, self.gy, self.gy)
             self._stiffness = self._scatter_matrix(local)
         return self._stiffness
 

@@ -87,7 +87,8 @@ def project_initial(data, v1eps, config):
 class _Stepper:
     """Caches assembly shared by every step of one trajectory, and the
     pressures at the start and end of the last sub-step it accepted, with
-    that sub-step's dt, as ``history``."""
+    that sub-step's dt, as ``history``; None when that sub-step started from
+    an uncoupled pair."""
 
     def __init__(self, field, grid, tags, phi, config):
         self.config = config
@@ -104,12 +105,18 @@ class _Stepper:
         alpha*u + chi; returns (u_next_flat, DamOperator, SolveStats).
 
         Newton starts from u, or, when u is the end of the ``history``
-        sub-step, from its linear extrapolation to dt, clipped at 0; the
-        pinned values are imposed on either start."""
+        sub-step, from its linear extrapolation to dt, clipped at 0.  A pair
+        whose chi is not H_eps(u) starts instead from the pressure nearest u
+        that stores alpha*u + chi, and feeds no history.  The pinned values
+        are imposed on every start.  The sub-step becomes the ``history``."""
         cfg = self.config
-        g_old = cfg.penalty.alpha * u_flat + chi_flat
-        op = DamOperator(self.asm, cfg.penalty, self.dmask, self.phi_flat, self.mlump, dt, g_old)
-        if self.history is not None and np.array_equal(u_flat, self.history[1]):
+        pen = cfg.penalty
+        g_old = pen.alpha * u_flat + chi_flat
+        op = DamOperator(self.asm, pen, self.dmask, self.phi_flat, self.mlump, dt, g_old)
+        coupled = np.array_equal(chi_flat, pen.heaviside(u_flat))
+        if not coupled:
+            u0 = pen.storage_preimage(g_old, u_flat)
+        elif self.history is not None and np.array_equal(u_flat, self.history[1]):
             u_prev, _, dt_prev = self.history
             u0 = np.maximum(u_flat + (dt / dt_prev) * (u_flat - u_prev), 0.0)
         else:
@@ -118,6 +125,7 @@ class _Stepper:
         u_next, stats = newton_picard_solve(u0, op.residual, op.jacobian, op.picard,
                                             self.linsolver, tol_newton=cfg.tol_newton,
                                             method=cfg.method)
+        self.history = (u_flat, u_next, dt) if coupled else None
         return u_next, op, stats
 
     def ledger(self, op, u_new_flat):
@@ -127,7 +135,8 @@ class _Stepper:
         (discrete divergence theorem; the bottom contributes no flux);
         Dirichlet rows, negated, are the discrete inflow through the
         pervious boundary.  The imbalance is reported relative to the total
-        stored mass.
+        stored mass.  At the pressure of the solve's last residual
+        evaluation, ``op.pde`` returns the rows it kept.
         """
         pen = self.config.penalty
         pde = op.pde(u_new_flat)
@@ -143,7 +152,8 @@ def step(state, stepper):
     Each sub-step of an attempt extrapolates Newton's start from the one
     before it, the first from the stepper's last accepted sub-step if the
     state is its end.  Only an accepted step feeds the stepper's history,
-    with its clipped pressure as the end."""
+    with its clipped pressure as the end, and only if its last sub-step
+    started from a coupled pair."""
     config, grid, pen = stepper.config, stepper.grid, stepper.config.penalty
     grid.check_nodal("state u", state.u)
     grid.check_nodal("state chi", state.chi)
@@ -158,9 +168,7 @@ def step(state, stepper):
         try:
             for k in range(2 ** halvings):
                 chi = pen.heaviside(u) if k else chi
-                start = u
                 u, op, stats = stepper.advance(u, chi, dt)
-                stepper.history = (start, u, dt)
                 substeps.append((stats, *stepper.ledger(op, u)))
             break
         except NonConvergence as exc:
@@ -177,7 +185,8 @@ def step(state, stepper):
         raise StepFailure(f"pressure undershoot {u_min:.3e} at t={state.time + config.dt}",
                           step_index=index, residual_norm=stats.residual_norm)
     u = np.maximum(u, 0.0)
-    stepper.history = (start, u, dt)
+    if stepper.history is not None:
+        stepper.history = (stepper.history[0], u, dt)
     u = u.reshape(grid.shape)
     # the sub-steps of the accepted attempt; failed attempts show only in
     # the solver counters
@@ -198,7 +207,11 @@ def step(state, stepper):
 
 def solve_unsteady(data, field, grid, tags, config, v1eps=None):
     """Time-step the penalized problem from data's initial pair, clipped
-    first under the penalized upper barrier ``v1eps`` when one is given."""
+    first under the penalized upper barrier ``v1eps`` when one is given.
+
+    The data's alpha must be the penalty's: that is the alpha it steps with."""
+    if data.alpha != config.penalty.alpha:
+        raise InvalidArgument(f"data alpha {data.alpha} != penalty alpha {config.penalty.alpha}")
     u0, chi0 = data.u0, data.chi0
     grid.check_nodal("u0", u0)
     grid.check_nodal("chi0", chi0)

@@ -44,6 +44,18 @@ class PenaltyConfig:
     def storage_derivative(self, s):
         return self.alpha + self.heaviside_derivative(s)
 
+    def storage_preimage(self, g, near):
+        """The pressure nearest ``near`` whose storage G_eps is ``g`` (g >= 0).
+
+        For alpha > 0 that is G_eps^{-1}(g), whatever ``near``.  For alpha = 0
+        it is eps*g below g = 1, and ``near`` clipped to [eps, inf) at g = 1.
+        """
+        g = np.asarray(g, dtype=float)
+        if self.alpha > 0:
+            ramp_top = self.alpha * self.eps + 1.0
+            return np.where(g < ramp_top, g * (self.eps / ramp_top), (g - 1.0) / self.alpha)
+        return np.where(g < 1.0, self.eps * g, np.maximum(near, self.eps))
+
     @property
     def complementarity_bound(self):
         """Sharp bound on s*(1 - H_eps(s)) over s >= 0, attained at s = eps/2."""

@@ -109,6 +109,23 @@ def test_gravity_vector_has_the_bits_of_the_full_sum(field_maker):
     assert np.array_equal(asm.gravity_vector(chi_q).view(np.int64), full.view(np.int64))
 
 
+@pytest.mark.parametrize("field_maker", [identity_field,
+                                         lambda g: constant_anisotropic_field(2.0, 0.25, 3.0, g)])
+def test_stiffness_has_the_bits_of_the_full_sum(field_maker):
+    """Skipping the a12 terms of an axis-aligned field changes no bit."""
+    grid, asm = _setup(8, 6, field_maker)
+    w = asm.wq[None, :]
+    local = (np.einsum("cq,qm,qn->cmn", w * asm.a11, asm.gx, asm.gx)
+             + np.einsum("cq,qm,qn->cmn", w * asm.a12, asm.gx, asm.gy)
+             + np.einsum("cq,qm,qn->cmn", w * asm.a12, asm.gy, asm.gx)
+             + np.einsum("cq,qm,qn->cmn", w * asm.a22, asm.gy, asm.gy))
+    full = asm._scatter_matrix(local)
+    K = asm.stiffness()
+    assert asm.has_a12 == (field_maker is not identity_field)
+    assert np.array_equal(K.indices, full.indices) and np.array_equal(K.indptr, full.indptr)
+    assert np.array_equal(K.data.view(np.int64), full.data.view(np.int64))
+
+
 def test_gravity_jacobian_is_derivative_of_vector():
     grid, asm = _setup(4, 4)
     rng = np.random.default_rng(0)

@@ -8,6 +8,7 @@ from damflow import (DamGeometry, InvalidArgument, InvalidData, NonConvergence, 
                      StepFailure, build_grid, classify_boundary, hydrostatic_profile,
                      identity_field, make_barrier_data, solve_stationary)
 from damflow import evolution
+from damflow.assembly import Q1Assembler
 from damflow.evolution import EvolutionConfig, _Stepper, project_initial, solve_unsteady, step
 from damflow.problem_data import ProblemData, SolutionField
 
@@ -67,6 +68,22 @@ def test_steady_state_is_a_fixed_point():
     traj = solve_unsteady(data, field, grid, tags1, cfg)
     dev = max(np.max(np.abs(s.u - steady.v)) for s in traj.snapshots)
     assert dev <= 1e-8
+
+
+def test_fixed_point_step_assembles_its_rows_once(monkeypatch):
+    """A step that starts at its solution evaluates the operator once: the
+    ledger reads the rows of the solve's start residual."""
+    geom, grid, tags, field, phi0, phi1, pen = _barrier_setup()
+    tags1 = classify_boundary(grid, phi1)
+    steady = solve_stationary(phi1, field, grid, tags1, pen)
+    stepper = _Stepper(field, grid, tags1, phi1, EvolutionConfig(dt=0.01, n_steps=1, penalty=pen))
+    calls = []
+    original = Q1Assembler.gravity_vector
+    monkeypatch.setattr(Q1Assembler, "gravity_vector",
+                        lambda asm, chi_q: calls.append(1) or original(asm, chi_q))
+    _, diag = step(SolutionField(u=steady.v, chi=steady.chi), stepper)
+    assert diag.newton_iters == 0
+    assert len(calls) == 1
 
 
 def test_drawdown_monotone_and_conservative():
@@ -152,6 +169,22 @@ def test_ledger_splits_the_pde_total():
     assert inflow == pytest.approx(-np.sum(pde[tags.dirichlet_mask.ravel()]) * cfg.dt)
     assert imbalance - inflow == pytest.approx(np.sum(pde) * cfg.dt, abs=1e-14 * scale)
     assert abs(imbalance) <= 1e-10 * scale
+
+
+def test_ledger_equals_a_fresh_evaluation_at_the_accepted_pressure(monkeypatch):
+    geom, grid, tags, field, phi0, phi1, pen = _barrier_setup(n=24, eps=4e-2)
+    data = _midpoint_data(grid, tags, phi0, pen, T=0.1)
+    config = EvolutionConfig(dt=0.02, n_steps=5, penalty=pen)
+    calls = _recording_solve(monkeypatch, failures=0)
+    traj = solve_unsteady(data, field, grid, tags, config)
+    fresh = _Stepper(field, grid, tags, phi0, config)
+    assert len(calls) == len(traj.diagnostics)
+    for (dt, g_old, (v, _), _), diag in zip(calls, traj.diagnostics):
+        op = evolution.DamOperator(fresh.asm, pen, fresh.dmask, fresh.phi_flat, fresh.mlump,
+                                   dt, g_old)
+        imbalance, inflow, scale = fresh.ledger(op, v)
+        assert diag.boundary_inflow == inflow
+        assert diag.mass_balance_rel == abs(imbalance) / scale
 
 
 def test_newton_and_picard_paths_agree_to_rounding():
@@ -320,6 +353,14 @@ def test_initial_data_off_the_grid_rejected(name):
         solve_unsteady(data, field, grid, tags, EvolutionConfig(dt=0.02, n_steps=1, penalty=pen))
 
 
+def test_data_alpha_other_than_the_penalty_alpha_rejected():
+    geom, grid, tags, field, phi0, phi1, pen = _barrier_setup(n=8, eps=6e-2)
+    data = _midpoint_data(grid, tags, phi0, pen, T=0.02)
+    data.alpha = 0.0
+    with pytest.raises(InvalidArgument, match=r"data alpha 0\.0 != penalty alpha 0\.3"):
+        solve_unsteady(data, field, grid, tags, EvolutionConfig(dt=0.02, n_steps=1, penalty=pen))
+
+
 def test_barrier_off_the_grid_rejected():
     geom, grid, tags, field, phi0, phi1, pen = _barrier_setup(n=8, eps=6e-2)
     data = _midpoint_data(grid, tags, phi0, pen, T=0.02)
@@ -351,7 +392,7 @@ def test_step_rejects_a_state_off_the_grid(name, layout):
 
 # the 32x32 midpoint run of the predictor tests takes this many Newton
 # iterations in total when each step starts from the extrapolated pressure
-PREDICTED_NEWTON_ITERS = 70
+PREDICTED_NEWTON_ITERS = 59
 
 
 def _predictor_run(n_steps=20):
@@ -362,9 +403,24 @@ def _predictor_run(n_steps=20):
     return data, field, grid, tags, config, _Stepper(field, grid, tags, phi0, config), first
 
 
+def _coupled(stepper, state):
+    """A copy of ``state`` whose chi is H_eps(u)."""
+    u = state.u.copy()
+    return SolutionField(u=u, chi=stepper.config.penalty.heaviside(u), time=state.time)
+
+
 def _own_start(stepper, u):
     """The Newton start of a step from ``u`` without history."""
     start = stepper.grid.flatten(u).copy()
+    start[stepper.dmask] = stepper.phi_flat[stepper.dmask]
+    return start
+
+
+def _storage_start(stepper, state):
+    """The Newton start of a step from a pair whose chi is not H_eps(u)."""
+    pen = stepper.config.penalty
+    u = stepper.grid.flatten(state.u)
+    start = pen.storage_preimage(pen.alpha * u + stepper.grid.flatten(state.chi), u)
     start[stepper.dmask] = stepper.phi_flat[stepper.dmask]
     return start
 
@@ -394,27 +450,37 @@ def test_extrapolated_start_solves_the_same_steps_in_fewer_iterations():
 
 
 def test_only_the_end_of_the_last_accepted_substep_is_extrapolated(monkeypatch):
+    """The midpoint pair is not coupled, so its step starts from its storage
+    and feeds no history; the next step starts from its own pressure and
+    every later one extrapolates."""
     data, field, grid, tags, config, stepper, first = _predictor_run()
     calls = _recording_solve(monkeypatch, failures=0)
     second, _ = step(first, stepper)
     third, _ = step(second, stepper)
+    fourth, _ = step(third, stepper)
     # a copy of the state the stepper produced continues the extrapolation
-    step(dataclasses.replace(third, u=third.u.copy()), stepper)
-    # a copy of a state the stepper did not produce starts from its own pressure
+    step(dataclasses.replace(fourth, u=fourth.u.copy()), stepper)
+    # a coupled state the stepper did not produce starts from its own pressure
+    step(_coupled(stepper, first), stepper)
+    # an uncoupled one from its storage, whatever the history
     step(dataclasses.replace(first, u=first.u.copy()), stepper)
     starts = [c[3] for c in calls]
-    np.testing.assert_array_equal(starts[0], _own_start(stepper, first.u))
-    np.testing.assert_array_equal(starts[1], _extrapolated_start(stepper, first.u, second.u, 1.0))
+    np.testing.assert_array_equal(starts[0], _storage_start(stepper, first))
+    np.testing.assert_array_equal(starts[1], _own_start(stepper, second.u))
     np.testing.assert_array_equal(starts[2], _extrapolated_start(stepper, second.u, third.u, 1.0))
-    np.testing.assert_array_equal(starts[3], _own_start(stepper, first.u))
+    np.testing.assert_array_equal(starts[3], _extrapolated_start(stepper, third.u, fourth.u, 1.0))
+    np.testing.assert_array_equal(starts[4], _own_start(stepper, first.u))
+    np.testing.assert_array_equal(starts[5], _storage_start(stepper, first))
 
 
 def test_retries_extrapolate_from_the_last_accepted_substep(monkeypatch):
-    """The first step's retry starts from the state's own pressure, its
-    second sub-step from the first.  The next step's attempts extrapolate
-    from that accepted dt/2 sub-step with the ratio of their dt to it, and
-    the sub-step of an attempt that failed later feeds nothing."""
+    """From a coupled pair, the first step's retry starts from the state's
+    own pressure, its second sub-step from the first.  The next step's
+    attempts extrapolate from that accepted dt/2 sub-step with the ratio of
+    their dt to it, and the sub-step of an attempt that failed later feeds
+    nothing."""
     data, field, grid, tags, config, stepper, first = _predictor_run()
+    first = _coupled(stepper, first)
     calls = _recording_solve(monkeypatch, failures=1)
     second, diag = step(first, stepper)
     assert diag.dt_halvings == 1
@@ -430,6 +496,23 @@ def test_retries_extrapolate_from_the_last_accepted_substep(monkeypatch):
     for k, ratio in ((0, 2.0), (1, 1.0), (3, 0.5)):
         np.testing.assert_array_equal(calls[k][3],
                                       _extrapolated_start(stepper, middle, second.u, ratio))
+
+
+def test_an_uncoupled_substep_feeds_no_extrapolation(monkeypatch):
+    """From the uncoupled midpoint pair, the first attempt and the retry
+    start from its storage, and the retry's second sub-step starts from its
+    own pressure; that coupled sub-step feeds the next step."""
+    data, field, grid, tags, config, stepper, first = _predictor_run()
+    calls = _recording_solve(monkeypatch, failures=1)
+    second, diag = step(first, stepper)
+    assert diag.dt_halvings == 1
+    middle = calls[1][2][0]
+    np.testing.assert_array_equal(calls[0][3], _storage_start(stepper, first))
+    np.testing.assert_array_equal(calls[1][3], _storage_start(stepper, first))
+    np.testing.assert_array_equal(calls[2][3], _own_start(stepper, middle))
+    calls.clear()
+    step(second, stepper)
+    np.testing.assert_array_equal(calls[0][3], _extrapolated_start(stepper, middle, second.u, 2.0))
 
 
 def test_halved_step_reports_its_worst_start_residual(monkeypatch):

@@ -45,6 +45,27 @@ def test_g_eps_combines_storage_and_ramp():
     np.testing.assert_allclose(cfg.storage_derivative(s), [0.5 + 10.0, 0.5])
 
 
+@given(st.floats(0.0, 2.0), st.floats(0.0, 1.0), st.floats(1e-3, 0.5), st.floats(1e-3, 2.0))
+def test_storage_preimage_stores_g_with_alpha(u, chi, eps, alpha):
+    """For alpha > 0 the preimage is the one pressure that stores g."""
+    cfg = PenaltyConfig(eps=eps, alpha=alpha)
+    g = alpha * u + chi
+    s = cfg.storage_preimage(g, u)
+    assert cfg.storage(s) == pytest.approx(g, rel=1e-14, abs=1e-15)
+    assert cfg.storage_preimage(g, u + 1.0) == s
+
+
+def test_storage_preimage_without_alpha_is_nearest():
+    """For alpha = 0 a pressure stores chi = H_eps(s): eps*chi inside the
+    ramp, 0 for a dry node and the nearest point of [eps, inf) for a wet one."""
+    cfg = PenaltyConfig(eps=0.1)
+    u = np.array([0.3, 0.3, 0.3, 0.05, 0.0, 0.5])
+    chi = np.array([0.0, 0.4, 1.0, 1.0, 1.0, 0.25])
+    s = cfg.storage_preimage(chi, u)
+    np.testing.assert_array_equal(s, [0.0, 0.1 * 0.4, 0.3, 0.1, 0.1, 0.1 * 0.25])
+    np.testing.assert_allclose(cfg.heaviside(s), chi, rtol=0, atol=1e-15)
+
+
 @given(st.floats(-10, 10), st.floats(-10, 10),
        st.floats(1e-6, 1.0))
 def test_ramp_monotone_and_lipschitz(s1, s2, eps):

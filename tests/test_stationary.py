@@ -232,3 +232,61 @@ def test_operator_pinned_rows_read_u_minus_values(storage):
     r = op.residual(u)
     np.testing.assert_array_equal(r[op.pinned], u[op.pinned] - op.values[op.pinned])
     np.testing.assert_array_equal(r[~op.pinned], op.pde(u)[~op.pinned])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _count_row_assemblies(monkeypatch):
+    """Count ``Q1Assembler.gravity_vector`` calls: one per evaluation of the rows."""
+    calls = []
+    original = Q1Assembler.gravity_vector
+
+    def counted(self, chi_q):
+        calls.append(1)
+        return original(self, chi_q)
+
+    monkeypatch.setattr(Q1Assembler, "gravity_vector", counted)
+    return calls
+
+
+def test_storage_operator_assembles_a_pressure_once(monkeypatch):
+    op, u = _operator(storage=True, extra_pins=True)
+    fresh, _ = _operator(storage=True, extra_pins=True)
+    pde, r = fresh.pde(u), fresh.residual(u)
+    calls = _count_row_assemblies(monkeypatch)
+    assert _same_bits(op.residual(u), r)
+    # an equal pressure in another array reads the kept rows
+    assert _same_bits(op.pde(u.copy()), pde)
+    assert _same_bits(op.residual(u.copy()), r)
+    assert len(calls) == 1
+
+
+def test_storage_operator_gives_fresh_bits_after_the_caller_mutates(monkeypatch):
+    op, u = _operator(storage=True, extra_pins=True)
+
+    def fresh():
+        return _operator(storage=True, extra_pins=True)[0]
+
+    op.residual(u)[:] = 7.0
+    op.pde(u)[:] = -1.0
+    assert _same_bits(op.pde(u), fresh().pde(u))
+    assert _same_bits(op.residual(u), fresh().residual(u))
+    calls = _count_row_assemblies(monkeypatch)
+    u[5] += 1e-3
+    assert _same_bits(op.pde(u), fresh().pde(u))
+    # a pressure that differs only in the sign of a zero is another pressure
+    u[7] = 0.0
+    op.pde(u)
+    u[7] = -0.0
+    op.pde(u)
+    assert len(calls) == 4
+
+
+def test_stationary_operator_keeps_no_rows(monkeypatch):
+    op, u = _operator(storage=False, extra_pins=False)
+    calls = _count_row_assemblies(monkeypatch)
+    op.pde(u)
+    op.residual(u)
+    assert len(calls) == 2
