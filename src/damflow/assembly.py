@@ -23,8 +23,10 @@ _LOCAL_DI, _LOCAL_DJ = ((_REF_NODES.T + 1.0) / 2.0).astype(int)
 _LOCAL_OFFSET = (3 * (_LOCAL_DJ[None, :] - _LOCAL_DJ[:, None] + 1)
                  + _LOCAL_DI[None, :] - _LOCAL_DI[:, None] + 1)
 
-# Krylov solves of at least this many unknowns refactor the two-grid coarse
-# operator on every solve; smaller ones reuse one factor (LinearSolver)
+# Krylov solves of at least this many unknowns rebuild the two-grid coarse
+# solve on every solve, smaller ones reuse one factor (LinearSolver); a
+# coarse level of at least this many unknowns is not factored but solved by
+# two-grid cycles one level down (Q1Assembler.prolongations)
 REFACTOR_EVERY_SOLVE_MIN_N = 6000
 TWO_GRID_OMEGA = 0.7
 # Krylov relative tolerance outside LinearSolver.tolerance, and iteration cap
@@ -80,6 +82,12 @@ def _line_prolongation(n):
     return P
 
 
+def _grid_prolongation(nx, ny):
+    """kron(P_y, P_x): _line_prolongation on both axes of an nx x ny cell grid,
+    in the flat node order."""
+    return sp.kron(_line_prolongation(ny), _line_prolongation(nx), format="csr")
+
+
 class Q1Assembler:
     """Assembly of stiffness, mass and gravity terms for one grid/field pair;
     a field defined on another rectangle than the grid is an InvalidArgument."""
@@ -128,8 +136,22 @@ class Q1Assembler:
     def prolongation(self):
         """Bilinear interpolation from the 2h grid (every other node line, the
         last line kept) to this grid: kron(P_y, P_x) on the flat node order."""
-        return sp.kron(_line_prolongation(self.grid.ny), _line_prolongation(self.grid.nx),
-                       format="csr")
+        return _grid_prolongation(self.grid.nx, self.grid.ny)
+
+    def prolongations(self):
+        """The prolongations of LinearSolver's hierarchy, finest first: this
+        grid's, then one for each coarse grid of REFACTOR_EVERY_SOLVE_MIN_N
+        nodes or more, so the last coarse grid is the first below it.  A
+        coarse grid has ceil(n / 2) cells on an axis of n cells, so a one-cell
+        axis maps by the identity while the other shrinks; only the 4-node
+        grid cannot shrink, and it lies below the crossover."""
+        chain = [self.prolongation()]
+        nx, ny = self.grid.nx, self.grid.ny
+        while True:
+            nx, ny = -(-nx // 2), -(-ny // 2)
+            if (nx + 1) * (ny + 1) < REFACTOR_EVERY_SOLVE_MIN_N:
+                return chain
+            chain.append(_grid_prolongation(nx, ny))
 
     def pattern_matrix(self, data):
         """CSR matrix on the Q1 pattern with the given data array."""
@@ -237,23 +259,35 @@ def _diagonal(A):
     return np.where(np.abs(d) > 0, d, 1.0)
 
 
-def two_grid_preconditioner(A, P, R, coarse):
+def two_grid_preconditioner(A, P, R, coarse_solve):
     """One symmetric two-grid V(1,1) cycle for A as a LinearOperator.
 
-    Damped Jacobi built from A, the coarse correction P C^-1 R with the
-    factor ``coarse`` of C (R A P, or of an earlier A's), then damped Jacobi
-    again.  With R = P^T the cycle is symmetric whenever A and C are, so it
-    also serves CG.
+    Damped Jacobi built from A, the coarse correction P S R with the coarse
+    solve ``coarse_solve`` = S (a factor's solve of R A P, or of an earlier
+    A's, or the cycles of a level below), then damped Jacobi again.  With
+    R = P^T the cycle is symmetric whenever A and S are, so it also serves CG.
     """
     w = TWO_GRID_OMEGA / _diagonal(A)
 
     def cycle(r):
         x = w * r
-        x += P @ coarse.solve(R @ (r - A @ x))
+        x += P @ coarse_solve(R @ (r - A @ x))
         x += w * (r - A @ x)
         return x
 
     return spla.LinearOperator(A.shape, matvec=cycle, dtype=float)
+
+
+def _w_cycle(A, cycle):
+    """Two applications of a cycle C for A, x = C r; x += C (r - A x): the
+    coarse solve of a level above the factored one.  It stays symmetric
+    when A and C are."""
+    def solve(r):
+        x = cycle.matvec(r)
+        x += cycle.matvec(r - A @ x)
+        return x
+
+    return solve
 
 
 class LinearSolver:
@@ -262,10 +296,13 @@ class LinearSolver:
     Conjugate gradients for symmetric matrices, BiCGStab otherwise, to the
     tolerance ``max(rtol * |b|, atol)``.  Every solve is preconditioned by
     the two-grid cycle on ``prolongation``; its Jacobi smoother comes from
-    the current matrix.  Its coarse factor is kept across solves; a solve
-    that fails, needs more than 2 n0 + 5 iterations (n0: those of the first
-    solve on the factor) or has ``REFACTOR_EVERY_SOLVE_MIN_N`` unknowns or
-    more retires it, and the next solve factors anew.  The Krylov method sees
+    the current matrix.  Each of the ``coarser`` prolongations adds a level
+    below: the Galerkin operator R A P of a level that has one is not
+    factored but solved by two of its own two-grid cycles (a W-cycle), and
+    the last level's is factored.  The coarse solve is kept across solves; a
+    solve that fails, needs more than 2 n0 + 5 iterations (n0: those of the
+    first solve on it) or has ``REFACTOR_EVERY_SOLVE_MIN_N`` unknowns or
+    more retires it, and the next solve builds it anew.  The Krylov method sees
     b / |b|, since scipy's breakdown thresholds are absolute.  A Krylov
     failure falls back to a direct factorization (counted in ``fallbacks``)
     unless ``rescue`` is off; then ``solve`` returns None.  ``krylov_iters``
@@ -274,16 +311,16 @@ class LinearSolver:
     ``rescue`` per step through ``tolerance``.
     """
 
-    def __init__(self, prolongation):
+    def __init__(self, prolongation, *coarser):
         self.rtol = KRYLOV_RTOL
         self.atol = 0.0
         self.rescue = True
         self.fallbacks = 0
         self.krylov_iters = 0
         self.coarse_factors = 0
-        self.prolongation = prolongation
-        self.restriction = prolongation.T.tocsr()
-        # the coarse factor, the symmetry of the solves it serves (None once
+        self.prolongations = (prolongation,) + coarser
+        self.restrictions = tuple(P.T.tocsr() for P in self.prolongations)
+        # the coarse solve, the symmetry of the solves it serves (None once
         # a solve has retired it) and the iterations of the first solve that
         # used it
         self._coarse = None
@@ -301,17 +338,29 @@ class LinearSolver:
             self.rtol, self.atol, self.rescue = saved
 
     def _preconditioner(self, A, symmetric):
-        # factor when there is no factor or it does not serve this symmetry
-        # (CG needs the factor of a symmetric matrix); the prolongation fixes
-        # the matrix size
+        # build when there is no coarse solve or it does not serve this
+        # symmetry (CG needs the factor of a symmetric matrix); the
+        # prolongations fix the matrix sizes
         if self._coarse is None or self._coarse_symmetric != symmetric:
             self._coarse = None  # release the old factor before building the new one
-            galerkin = self.restriction @ (A @ self.prolongation)
-            self._coarse = spla.splu(galerkin.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self._coarse = self._coarse_solve(A)
             self._coarse_symmetric = symmetric
             self._first_iters = None
             self.coarse_factors += 1
-        return two_grid_preconditioner(A, self.prolongation, self.restriction, self._coarse)
+        return two_grid_preconditioner(A, self.prolongations[0], self.restrictions[0],
+                                       self._coarse)
+
+    def _coarse_solve(self, A):
+        """The coarse solve of A's cycle: the splu factor of the last level's
+        Galerkin operator, under a W-cycle on each level above it."""
+        levels = [A]
+        for P, R in zip(self.prolongations, self.restrictions):
+            levels.append(R @ (levels[-1] @ P))
+        solve = spla.splu(levels.pop().tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+        for A_l, P, R in reversed(list(zip(levels[1:], self.prolongations[1:],
+                                           self.restrictions[1:]))):
+            solve = _w_cycle(A_l, two_grid_preconditioner(A_l, P, R, solve))
+        return solve
 
     def solve(self, A, b, symmetric):
         bnorm = np.linalg.norm(b)
@@ -332,12 +381,13 @@ class LinearSolver:
         self.krylov_iters += iters
         if self._first_iters is None:
             self._first_iters = iters
-        # the solve that used the factor decides its lifetime.  From the
-        # crossover on it goes now: refactoring costs less than the iterations
-        # reuse adds, and a factor kept through the next assembly raises peak
-        # memory.  Below it, a failed solve or one past 2 n0 + 5 retires it
-        # and the next build releases it (released here, the assembly in
-        # between takes its pages and drainage_unsteady's peak RSS rose 2 MB)
+        # the solve that used the coarse solve decides its lifetime.  From
+        # the crossover on it goes now, with every level's Galerkin operator:
+        # refactoring costs less than the iterations reuse adds, and a factor
+        # kept through the next assembly raises peak memory.  Below it, a
+        # failed solve or one past 2 n0 + 5 retires it and the next build
+        # releases it (released here, the assembly in between takes its pages
+        # and drainage_unsteady's peak RSS rose 2 MB)
         if A.shape[0] >= REFACTOR_EVERY_SOLVE_MIN_N:
             self._coarse = None
         elif failed or iters > 2 * self._first_iters + 5:

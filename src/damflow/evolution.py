@@ -97,7 +97,7 @@ class _Stepper:
         self.phi_flat = dirichlet_values(grid, tags, phi).ravel()
         self.dmask = tags.dirichlet_mask.ravel()
         self.mlump = self.asm.lumped_mass()
-        self.linsolver = LinearSolver(prolongation=self.asm.prolongation())
+        self.linsolver = LinearSolver(*self.asm.prolongations())
         self.history = None
 
     def advance(self, u_flat, chi_flat, dt):

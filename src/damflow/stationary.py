@@ -142,7 +142,7 @@ def solve_stationary(phi, field, grid, tags, config, tol_newton=TOL_NEWTON, meth
     phi_flat = dirichlet_values(grid, tags, phi).ravel()
     dmask = tags.dirichlet_mask.ravel()
     asm = Q1Assembler(grid, field)
-    linsolver = LinearSolver(prolongation=asm.prolongation())
+    linsolver = LinearSolver(*asm.prolongations())
     solves = []
 
     def solve(op, v, method):

@@ -379,6 +379,76 @@ def test_large_systems_refactor_on_every_solve(krylov_log):
     assert solver._coarse is None
 
 
+@pytest.fixture
+def splu_sizes(monkeypatch):
+    """Records the size of every matrix ``splu`` factors."""
+    sizes = []
+    splu = spla.splu
+
+    def recorded(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(assembly.spla, "splu", recorded)
+    return sizes
+
+
+def _level_sizes(prolongations):
+    return [P.shape[0] for P in prolongations] + [prolongations[-1].shape[1]]
+
+
+@pytest.mark.parametrize("nx, ny, sizes", [(64, 64, [4225, 1089, 289]),
+                                           (97, 65, [6468, 1700, 468])])
+def test_coarse_levels_above_the_crossover_recurse(monkeypatch, splu_sizes, nx, ny, sizes):
+    monkeypatch.setattr(assembly, "REFACTOR_EVERY_SOLVE_MIN_N", 1000)
+    asm, op, u, b = _pinned_jacobian(nx, ny)
+    prolongations = asm.prolongations()
+    assert _level_sizes(prolongations) == sizes
+    solver = LinearSolver(*prolongations)
+    J, A, rhs = op.jacobian(u), op.picard(u), -op.residual(u)
+    x_ref, y_ref = spla.splu(J.tocsc()).solve(b), spla.splu(A.tocsc()).solve(rhs)
+    splu_sizes.clear()
+
+    # the preconditioner CG sees is symmetric on the Picard matrix
+    M = solver._preconditioner(A, symmetric=True)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x, y = rng.standard_normal((2, A.shape[0]))
+        My = M.matvec(y)
+        assert abs(x @ My - y @ M.matvec(x)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(My)
+
+    x = solver.solve(J, b, symmetric=False)
+    assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+    y = solver.solve(A, rhs, symmetric=True)
+    assert np.linalg.norm(y - y_ref) <= 1e-8 * np.linalg.norm(y_ref)
+    # only the first level below the crossover is factored, once per build,
+    # and the whole hierarchy goes with the solve
+    assert splu_sizes == [sizes[-1]] * 3 and solver.coarse_factors == 3
+    assert solver.fallbacks == 0 and solver._coarse is None
+
+
+def test_a_one_cell_coarse_axis_maps_by_the_identity(monkeypatch, splu_sizes):
+    monkeypatch.setattr(assembly, "REFACTOR_EVERY_SOLVE_MIN_N", 1000)
+    asm, op, u, b = _pinned_jacobian(2, 1400)
+    prolongations = asm.prolongations()
+    assert _level_sizes(prolongations) == [4203, 1402, 702]
+    J = op.jacobian(u)
+    x = LinearSolver(*prolongations).solve(J, b, symmetric=False)
+    assert splu_sizes == [702]
+    x_ref = spla.splu(J.tocsc()).solve(b)
+    assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+
+
+def test_large_systems_factor_only_below_the_crossover(splu_sizes):
+    asm, op, u, b = _pinned_jacobian(256, 128)
+    J = op.jacobian(u)
+    solver = LinearSolver(*asm.prolongations())
+    x = solver.solve(J, b, symmetric=False)
+    assert splu_sizes and max(splu_sizes) < REFACTOR_EVERY_SOLVE_MIN_N
+    assert np.linalg.norm(J @ x - b) <= 1e-8 * np.linalg.norm(b)
+    assert solver.fallbacks == 0 and solver._coarse is None
+
+
 def _coo_matrix(asm, local):
     """Element blocks summed through COO, as the assembly did before it kept
     a fixed pattern."""
