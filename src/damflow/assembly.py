@@ -291,7 +291,7 @@ def _w_cycle(A, cycle):
 
 
 class LinearSolver:
-    """Two-grid preconditioned Krylov solve with a sparse-LU rescue.
+    """Two-grid preconditioned Krylov solve.
 
     Conjugate gradients for symmetric matrices, BiCGStab otherwise, to the
     tolerance ``max(rtol * |b|, atol)``.  Every solve is preconditioned by
@@ -304,17 +304,16 @@ class LinearSolver:
     first solve on it) or has ``REFACTOR_EVERY_SOLVE_MIN_N`` unknowns or
     more retires it, and the next solve builds it anew.  The Krylov method sees
     b / |b|, since scipy's breakdown thresholds are absolute.  A Krylov
-    failure falls back to a direct factorization (counted in ``fallbacks``)
-    unless ``rescue`` is off; then ``solve`` returns None.  ``krylov_iters``
-    and ``coarse_factors`` count Krylov iterations and coarse
-    factorizations.  Newton's iteration sets ``rtol``, ``atol`` and
-    ``rescue`` per step through ``tolerance``.
+    failure (its flag, or a non-finite result) makes ``solve`` return None;
+    ``fallbacks`` counts these failed solves, ``krylov_iters`` and
+    ``coarse_factors`` the Krylov iterations and coarse factorizations.
+    Newton's iteration sets ``rtol`` and ``atol`` per step through
+    ``tolerance``.
     """
 
     def __init__(self, prolongation, *coarser):
         self.rtol = KRYLOV_RTOL
         self.atol = 0.0
-        self.rescue = True
         self.fallbacks = 0
         self.krylov_iters = 0
         self.coarse_factors = 0
@@ -328,14 +327,14 @@ class LinearSolver:
         self._first_iters = None
 
     @contextmanager
-    def tolerance(self, rtol, atol=0.0, rescue=True):
-        """Solve with these settings inside the block, then restore the old ones."""
-        saved = self.rtol, self.atol, self.rescue
-        self.rtol, self.atol, self.rescue = rtol, atol, rescue
+    def tolerance(self, rtol, atol=0.0):
+        """Solve to these tolerances inside the block, then restore the old ones."""
+        saved = self.rtol, self.atol
+        self.rtol, self.atol = rtol, atol
         try:
             yield self
         finally:
-            self.rtol, self.atol, self.rescue = saved
+            self.rtol, self.atol = saved
 
     def _preconditioner(self, A, symmetric):
         # build when there is no coarse solve or it does not serve this
@@ -393,8 +392,6 @@ class LinearSolver:
         elif failed or iters > 2 * self._first_iters + 5:
             self._coarse_symmetric = None
         if failed:
-            if not self.rescue:
-                return None
             self.fallbacks += 1
-            x = spla.splu(A.tocsc()).solve(b)
+            return None
         return x

@@ -4,11 +4,11 @@ fallback of the other.
 Each step solves M(v) d = -r(v), with the Jacobian (Newton) or the symmetric
 frozen-saturation matrix (Picard), and halves the step from 1 (Newton) or
 PICARD_RELAX (Picard) until |r| falls; a path ends at the first step that
-finds no such point.  Newton's linear solves are inexact, with
-Eisenstat-Walker forcing terms.  Converged iterates are polished towards
-machine precision while progress lasts, which keeps fixed points of the
-time stepper and the per-step mass ledger tight; a polish step whose Krylov
-solve breaks down ends the polish instead of factoring the Jacobian.
+finds no such point or whose Krylov solve fails.  Newton's linear solves
+are inexact, with Eisenstat-Walker forcing terms.  Converged iterates are
+polished towards machine precision while progress lasts, which keeps fixed
+points of the time stepper and the per-step mass ledger tight; a failed
+polish solve thus ends the polish, with the iterate inside the target.
 """
 
 import math
@@ -111,13 +111,9 @@ def _newton(v, r, residual_fn, jacobian_fn, picard_fn, linsolver, target, floor,
     it = 0
     while it < max_iters and rn > floor:
         J = jacobian_fn(v)
-        if rn <= target:
-            # polish step: aim at the floor, and stop polishing if the Krylov
-            # solve breaks down, since the iterate is inside the target
-            settings = {"rtol": 0.0, "atol": 0.1 * floor, "rescue": False}
-        else:
-            settings = {"rtol": _forcing(rn, rn_last)}
-        with linsolver.tolerance(**settings):
+        # a polish step (inside the target) aims at the floor
+        rtol, atol = (0.0, 0.1 * floor) if rn <= target else (_forcing(rn, rn_last), 0.0)
+        with linsolver.tolerance(rtol, atol):
             delta = linsolver.solve(J, -r, symmetric=False)
         it += 1
         if delta is None:
@@ -144,6 +140,8 @@ def _picard(v, r, residual_fn, jacobian_fn, picard_fn, linsolver, target, floor,
     while it < max_iters and rn > floor:
         delta = linsolver.solve(picard_fn(v), -r, symmetric=True)
         it += 1
+        if delta is None:
+            break
         trial = _line_search(v, delta, PICARD_RELAX, residual_fn, rn)
         if trial is None:
             ls_failures += 1

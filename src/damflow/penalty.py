@@ -47,13 +47,16 @@ class PenaltyConfig:
     def storage_preimage(self, g, near):
         """The pressure nearest ``near`` whose storage G_eps is ``g`` (g >= 0).
 
-        For alpha > 0 that is G_eps^{-1}(g), whatever ``near``.  For alpha = 0
-        it is eps*g below g = 1, and ``near`` clipped to [eps, inf) at g = 1.
+        For alpha > 0 that is G_eps^{-1}(g), whatever ``near``; above the
+        ramp it is kept at eps or more, where (g - 1)/alpha can round below.
+        For alpha = 0 it is eps*g below g = 1, and ``near`` clipped to
+        [eps, inf) at g = 1.
         """
         g = np.asarray(g, dtype=float)
         if self.alpha > 0:
             ramp_top = self.alpha * self.eps + 1.0
-            return np.where(g < ramp_top, g * (self.eps / ramp_top), (g - 1.0) / self.alpha)
+            return np.where(g < ramp_top, g * (self.eps / ramp_top),
+                            np.maximum((g - 1.0) / self.alpha, self.eps))
         return np.where(g < 1.0, self.eps * g, np.maximum(near, self.eps))
 
     @property

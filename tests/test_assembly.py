@@ -357,13 +357,13 @@ def test_failed_solve_rebuilds_the_coarse_factor(monkeypatch):
     _solve_and_check(solver, J, b)
     bicgstab = assembly.spla.bicgstab
     monkeypatch.setattr(assembly.spla, "bicgstab", lambda A, b, **kw: (np.zeros_like(b), 1))
-    with solver.tolerance(1e-10, rescue=False):
-        assert solver.solve(J, b, symmetric=False) is None
+    assert solver.solve(J, b, symmetric=False) is None
     monkeypatch.setattr(assembly.spla, "bicgstab", bicgstab)
-    # the failed solve retires the factor itself
+    # the failed solve counts and retires the factor itself
     assert solver.coarse_factors == 1 and solver._coarse_symmetric is None
+    assert solver.fallbacks == 1
     _solve_and_check(solver, J, b)
-    assert solver.coarse_factors == 2 and solver.fallbacks == 0
+    assert solver.coarse_factors == 2 and solver.fallbacks == 1
 
 
 def test_large_systems_refactor_on_every_solve(krylov_log):

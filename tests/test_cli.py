@@ -269,6 +269,21 @@ def test_solver_failure_exit_4(tmp_path):
     assert main(["run", cfg]) == EXIT_SOLVER
 
 
+@pytest.mark.parametrize("template", [TWO_RESERVOIR.format(eps=3e-2), UNSTEADY])
+def test_krylov_failures_exit_4_without_a_traceback(tmp_path, monkeypatch, capsys, template):
+    # with both Krylov methods failing, every nonlinear path ends at its first
+    # linear solve: the stationary solve and the time step both give up
+    from damflow import assembly
+    monkeypatch.setattr(assembly.spla, "bicgstab", lambda A, b, **kw: (np.zeros_like(b), -10))
+    monkeypatch.setattr(assembly.spla, "cg", lambda A, b, **kw: (np.zeros_like(b), -10))
+    cfg, out = _config(tmp_path, template)
+    assert main(["run", cfg]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and "both stalled" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "summary.json"))
+
+
 def test_compare_identical_runs_pass(tmp_path):
     cfg, out = _config(tmp_path, UNSTEADY)
     assert main(["run", cfg]) == EXIT_OK

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from damflow import (DamGeometry, PenaltyConfig, build_grid, classify_boundary,
-                     hydrostatic_head, identity_field, solve_stationary)
+from damflow import (DamGeometry, EvolutionConfig, PenaltyConfig, SolutionField, StepFailure,
+                     build_grid, classify_boundary, hydrostatic_head, hydrostatic_profile,
+                     identity_field, solve_stationary, two_reservoir_head)
 from damflow.assembly import LinearSolver, _line_prolongation
 from damflow.errors import InvalidArgument, NonConvergence
 from damflow.nonlinear import TOL_NEWTON, newton_picard_solve
@@ -144,7 +145,8 @@ def test_both_paths_stalled_raises_naming_both(method):
 
 def test_polish_breakdown_ends_the_polish_without_lu(monkeypatch):
     """A polish step (residual inside the target) whose Krylov solve breaks
-    down is dropped: no LU factorization, no line-search failure."""
+    down is dropped: no factorization, no line-search failure, and each
+    breakdown counts as a failed solve."""
     from damflow import assembly
     bicgstab = assembly.spla.bicgstab
     polish_calls = []
@@ -162,23 +164,94 @@ def test_polish_breakdown_ends_the_polish_without_lu(monkeypatch):
     v, stats = newton_picard_solve(np.linspace(0.0, 1.5, n), residual, jacobian, picard,
                                    solver)
     assert polish_calls
-    assert solver.fallbacks == 0
+    assert solver.fallbacks == len(polish_calls)
     assert stats.method == "newton" and stats.line_search_failures == 0
     assert stats.residual_norm <= 1e-9 * (1.0 + stats.initial_residual_norm)
     assert np.linalg.norm(residual(v)) == stats.residual_norm
     # Newton's per-step settings do not outlive the solve
-    assert (solver.rtol, solver.atol, solver.rescue) == (1e-10, 0.0, True)
+    assert (solver.rtol, solver.atol) == (1e-10, 0.0)
 
 
-def test_krylov_failure_outside_the_polish_is_rescued_by_lu(monkeypatch):
+def _failing_krylov(monkeypatch, *methods):
+    """Make each named scipy Krylov method fail on every call, BiCGStab by
+    its failure flag and CG by a non-finite result; returns the list of
+    methods called, in order."""
     from damflow import assembly
-    monkeypatch.setattr(assembly.spla, "bicgstab",
-                        lambda A, b, **kwargs: (np.zeros_like(b), -10))
+    called = []
+
+    def failing(name):
+        def fail(A, b, **kwargs):
+            called.append(name)
+            return (np.zeros_like(b), -10) if name == "bicgstab" else (np.full_like(b, np.nan), 0)
+        return fail
+
+    for name in methods:
+        monkeypatch.setattr(assembly.spla, name, failing(name))
+    return called
+
+
+@pytest.mark.parametrize("method, failing", [("newton", "bicgstab"), ("picard", "cg")])
+def test_a_failed_krylov_solve_ends_its_path(monkeypatch, method, failing):
+    """A Krylov failure ends the path at its first step and the other path
+    reaches the fixed point from v0; nothing factors the matrix."""
+    other = "picard" if method == "newton" else "newton"
+    called = _failing_krylov(monkeypatch, failing)
     n = 20
     residual, jacobian, picard = _fixed_point_fns(n)
     solver = _solver(n)
     v, stats = newton_picard_solve(np.linspace(0.0, 1.5, n), residual, jacobian, picard,
-                                   solver)
+                                   solver, method=method)
     np.testing.assert_allclose(v, _STAR, atol=1e-9)
-    # every Newton step before the target needed the factorization
-    assert 0 < solver.fallbacks <= stats.iters
+    assert stats.method == f"{method}+{other}" and stats.line_search_failures == 0
+    assert stats.residual_norm <= 1e-9 * (1.0 + stats.initial_residual_norm)
+    assert called == [failing] and solver.fallbacks == 1
+
+
+@pytest.mark.parametrize("method", ["newton", "picard"])
+def test_krylov_failures_on_both_paths_raise(monkeypatch, method):
+    called = _failing_krylov(monkeypatch, "bicgstab", "cg")
+    n = 20
+    solver = _solver(n)
+    with pytest.raises(NonConvergence, match="both stalled"):
+        newton_picard_solve(np.linspace(0.0, 1.5, n), *_fixed_point_fns(n), solver,
+                            method=method)
+    assert len(called) == 2 and solver.fallbacks == 2
+
+
+def test_krylov_failures_on_both_paths_fail_a_stationary_solve(monkeypatch):
+    from damflow import stationary
+    called = _failing_krylov(monkeypatch, "bicgstab", "cg")
+    built = []
+
+    class Recorded(LinearSolver):
+        def __init__(self, *prolongations):
+            super().__init__(*prolongations)
+            built.append(self)
+
+    monkeypatch.setattr(stationary, "LinearSolver", Recorded)
+    geom = DamGeometry(2.0, 1.0)
+    grid = build_grid(geom, 16, 8)
+    phi = two_reservoir_head(0.9, 0.2, geom)
+    with pytest.raises(NonConvergence, match="Newton and Picard both stalled"):
+        solve_stationary(phi, identity_field(geom), grid, classify_boundary(grid, phi),
+                         PenaltyConfig(eps=3e-2))
+    (solver,) = built
+    assert called == ["bicgstab", "cg"] and solver.fallbacks == 2
+
+
+def test_krylov_failures_on_both_paths_fail_a_time_step(monkeypatch):
+    """Each attempt of the step fails at its first sub-step, Newton and then
+    Picard, so the step fails after MAX_DT_RETRIES halvings."""
+    from damflow import evolution
+    called = _failing_krylov(monkeypatch, "bicgstab", "cg")
+    geom = DamGeometry(1.0, 1.0)
+    grid = build_grid(geom, 8, 8)
+    phi = hydrostatic_head(0.5)
+    prof = hydrostatic_profile(0.3, grid)
+    config = EvolutionConfig(dt=0.01, n_steps=1, penalty=PenaltyConfig(eps=0.1, alpha=0.3))
+    stepper = evolution._Stepper(identity_field(geom), grid, classify_boundary(grid, phi), phi,
+                                 config)
+    with pytest.raises(StepFailure, match=f"after {evolution.MAX_DT_RETRIES} dt halvings"):
+        evolution.step(SolutionField(u=prof.u, chi=prof.chi, time=0.0), stepper)
+    assert called == ["bicgstab", "cg"] * (evolution.MAX_DT_RETRIES + 1)
+    assert stepper.linsolver.fallbacks == len(called)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from damflow import InvalidArgument, PenaltyConfig
 
@@ -46,6 +46,8 @@ def test_g_eps_combines_storage_and_ramp():
 
 
 @given(st.floats(0.0, 2.0), st.floats(0.0, 1.0), st.floats(1e-3, 0.5), st.floats(1e-3, 2.0))
+# at the top of the ramp (g - 1)/alpha rounds to just below eps
+@example(u=1.0, chi=0.001, eps=0.001, alpha=1.0)
 def test_storage_preimage_stores_g_with_alpha(u, chi, eps, alpha):
     """For alpha > 0 the preimage is the one pressure that stores g."""
     cfg = PenaltyConfig(eps=eps, alpha=alpha)

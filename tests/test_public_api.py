@@ -29,7 +29,7 @@ EXPORTS = {
     "steklov_derivative", "step", "two_reservoir_head", "validate_assumptions",
 }
 
-KEYWORD_OPTIONS = 23
+KEYWORD_OPTIONS = 22
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
